@@ -11,7 +11,6 @@ with large quantum-to-classical ratios.
 __version__ = "0.1.0"
 
 from . import errors
-from ._kernels import backend, warm_up, worker_count
 from .classical import (
     ClassicalBoundResult,
     SignAssignment,
@@ -67,9 +66,6 @@ from .search import (
 __all__ = [
     "__version__",
     "errors",
-    "backend",
-    "warm_up",
-    "worker_count",
     "CoefficientMatrix",
     "chsh_matrix",
     "tensor_power",

@@ -1,68 +1,11 @@
-"""Hot numeric kernels with two interchangeable backends.
-
-The enumeration scan, the alternating Gram-vector sweeps, and the cyclic
-Jacobi eigensolver dominate runtime.  Each has a numba ``@njit`` version and
-a pure-numpy version.  The backend is chosen once at import time:
-
-* ``BELLBOUND_BACKEND=numba``  force numba (raises if unavailable)
-* ``BELLBOUND_BACKEND=numpy``  force the pure-numpy path
-* unset/``auto``               numba when importable, numpy otherwise
-
-``BELLBOUND_THREADS`` caps the worker count used for parallel restarts
-(default: machine parallelism).
-"""
+"""Hot numeric kernels: the enumeration scan, the alternating Gram-vector
+sweeps, and the eigenvalues of the dual certificate."""
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-from .errors import BellboundError
-
 _GRAY_CHUNK = 1 << 14
-
-_requested = os.environ.get("BELLBOUND_BACKEND", "").strip().lower()
-if _requested not in ("", "auto", "numba", "numpy"):
-    warnings.warn(
-        f"ignoring unknown BELLBOUND_BACKEND={_requested!r}; using auto detection",
-        stacklevel=1,
-    )
-    _requested = "auto"
-
-if _requested == "numpy":
-    NUMBA_ENABLED = False
-else:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        if _requested == "numba":
-            raise BellboundError(
-                "BELLBOUND_BACKEND=numba was requested but numba is not installed"
-            ) from None
-        NUMBA_ENABLED = False
-
-
-def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-def worker_count() -> int:
-    """Worker cap for parallel restarts, from BELLBOUND_THREADS."""
-    raw = os.environ.get("BELLBOUND_THREADS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise BellboundError(f"BELLBOUND_THREADS must be an integer, got {raw!r}")
-        if value < 1:
-            raise BellboundError("BELLBOUND_THREADS must be >= 1")
-        return value
-    return os.cpu_count() or 1
 
 
 # --------------------------------------------------------------------------
@@ -72,7 +15,8 @@ def worker_count() -> int:
 # --------------------------------------------------------------------------
 
 
-def _gray_scan_np(A: np.ndarray) -> tuple[float, int]:
+def gray_scan(A: np.ndarray) -> tuple[float, int]:
+    A = np.ascontiguousarray(A, dtype=np.float64)
     n, m = A.shape
     total = 1 << (n - 1)
     best_val = -1.0
@@ -90,49 +34,6 @@ def _gray_scan_np(A: np.ndarray) -> tuple[float, int]:
             best_val = float(vals[i])
             best_idx = int(ks[i])
     return best_val, best_idx
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, nogil=True)
-    def _gray_scan_nb(A):  # pragma: no cover - exercised via dispatcher
-        n, m = A.shape
-        col = np.zeros(m, dtype=np.float64)
-        for l in range(m):
-            for k in range(n):
-                col[l] += A[k, l]
-        val = 0.0
-        for l in range(m):
-            val += abs(col[l])
-        best_val = val
-        best_idx = np.int64(0)
-        s = np.ones(n, dtype=np.float64)
-        total = np.int64(1) << (n - 1)
-        for k in range(1, total):
-            kk = k
-            bit = 0
-            while kk & 1 == 0:
-                kk >>= 1
-                bit += 1
-            row = bit + 1
-            step = -2.0 * s[row]
-            s[row] = -s[row]
-            val = 0.0
-            for l in range(m):
-                col[l] += step * A[row, l]
-                val += abs(col[l])
-            if val > best_val:
-                best_val = val
-                best_idx = k
-        return best_val, best_idx
-
-
-def gray_scan(A: np.ndarray) -> tuple[float, int]:
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    if NUMBA_ENABLED:
-        val, idx = _gray_scan_nb(A)
-        return float(val), int(idx)
-    return _gray_scan_np(A)
 
 
 def gray_signs(index: int, n: int) -> np.ndarray:
@@ -153,7 +54,9 @@ def gray_signs(index: int, n: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _alt_sweeps_np(A, x, y, max_iters, tol):
+def alternating_sweeps(
+    A: np.ndarray, x: np.ndarray, y: np.ndarray, max_iters: int, tol: float
+) -> tuple[np.ndarray, bool]:
     hist = np.empty(2 * max_iters + 1, dtype=np.float64)
     obj = float(np.sum((A @ y) * x))
     hist[0] = obj
@@ -184,189 +87,7 @@ def _alt_sweeps_np(A, x, y, max_iters, tol):
     return hist[:count], converged
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True, nogil=True)
-    def _alt_sweeps_nb(A, x, y, max_iters, tol):  # pragma: no cover
-        n, m = A.shape
-        r = x.shape[1]
-        hist = np.empty(2 * max_iters + 1, dtype=np.float64)
-        obj = 0.0
-        for k in range(n):
-            for l in range(m):
-                a = A[k, l]
-                if a != 0.0:
-                    d = 0.0
-                    for c in range(r):
-                        d += x[k, c] * y[l, c]
-                    obj += a * d
-        hist[0] = obj
-        count = 1
-        prev = obj
-        converged = False
-        g = np.empty(r, dtype=np.float64)
-        for _ in range(max_iters):
-            obj = 0.0
-            for k in range(n):
-                for c in range(r):
-                    g[c] = 0.0
-                for l in range(m):
-                    a = A[k, l]
-                    if a != 0.0:
-                        for c in range(r):
-                            g[c] += a * y[l, c]
-                nr = 0.0
-                for c in range(r):
-                    nr += g[c] * g[c]
-                nr = np.sqrt(nr)
-                if nr > 0.0:
-                    for c in range(r):
-                        x[k, c] = g[c] / nr
-                    obj += nr
-            hist[count] = obj
-            count += 1
-
-            obj = 0.0
-            for l in range(m):
-                for c in range(r):
-                    g[c] = 0.0
-                for k in range(n):
-                    a = A[k, l]
-                    if a != 0.0:
-                        for c in range(r):
-                            g[c] += a * x[k, c]
-                nr = 0.0
-                for c in range(r):
-                    nr += g[c] * g[c]
-                nr = np.sqrt(nr)
-                if nr > 0.0:
-                    for c in range(r):
-                        y[l, c] = g[c] / nr
-                    obj += nr
-            hist[count] = obj
-            count += 1
-
-            if abs(obj - prev) <= tol * max(1.0, abs(obj)):
-                converged = True
-                break
-            prev = obj
-        return hist[:count], converged
-
-
-def alternating_sweeps(
-    A: np.ndarray, x: np.ndarray, y: np.ndarray, max_iters: int, tol: float
-) -> tuple[np.ndarray, bool]:
-    if NUMBA_ENABLED:
-        hist, converged = _alt_sweeps_nb(A, x, y, max_iters, tol)
-        return hist, bool(converged)
-    return _alt_sweeps_np(A, x, y, max_iters, tol)
-
-
-# --------------------------------------------------------------------------
-# Cyclic Jacobi eigensolver for dense symmetric matrices.
-# Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-# norm drops below an absolute tolerance.  Eigenvalues returned ascending.
-# --------------------------------------------------------------------------
-
-
-def _jacobi_np(S, tol, max_sweeps):
-    A = np.array(S, dtype=np.float64)
-    p = A.shape[0]
-    idx = np.arange(p)
-    for _ in range(max_sweeps):
-        off = A - np.diag(np.diag(A))
-        if np.sqrt((off * off).sum()) <= tol:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aij = A[i, j]
-                if aij == 0.0:
-                    continue
-                tau = (A[j, j] - A[i, i]) / (2.0 * aij)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                aii = A[i, i]
-                ajj = A[j, j]
-                mask = (idx != i) & (idx != j)
-                aki = A[mask, i].copy()
-                akj = A[mask, j].copy()
-                A[mask, i] = c * aki - s * akj
-                A[i, mask] = A[mask, i]
-                A[mask, j] = s * aki + c * akj
-                A[j, mask] = A[mask, j]
-                A[i, i] = aii - t * aij
-                A[j, j] = ajj + t * aij
-                A[i, j] = 0.0
-                A[j, i] = 0.0
-    return np.sort(np.diag(A))
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, nogil=True)
-    def _jacobi_nb(S, tol, max_sweeps):  # pragma: no cover
-        p = S.shape[0]
-        A = S.copy()
-        for _ in range(max_sweeps):
-            off = 0.0
-            for i in range(p):
-                for j in range(p):
-                    if i != j:
-                        off += A[i, j] * A[i, j]
-            if np.sqrt(off) <= tol:
-                break
-            for i in range(p - 1):
-                for j in range(i + 1, p):
-                    aij = A[i, j]
-                    if aij == 0.0:
-                        continue
-                    tau = (A[j, j] - A[i, i]) / (2.0 * aij)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    aii = A[i, i]
-                    ajj = A[j, j]
-                    for k in range(p):
-                        if k != i and k != j:
-                            aki = A[k, i]
-                            akj = A[k, j]
-                            A[k, i] = c * aki - s * akj
-                            A[i, k] = A[k, i]
-                            A[k, j] = s * aki + c * akj
-                            A[j, k] = A[k, j]
-                    A[i, i] = aii - t * aij
-                    A[j, j] = ajj + t * aij
-                    A[i, j] = 0.0
-                    A[j, i] = 0.0
-        w = np.empty(p, dtype=np.float64)
-        for i in range(p):
-            w[i] = A[i, i]
-        return np.sort(w)
-
-
-def jacobi_eigenvalues(
-    S: np.ndarray, tol: float = 1e-11, max_sweeps: int = 100
-) -> np.ndarray:
-    S = np.ascontiguousarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise BellboundError("jacobi_eigenvalues expects a square matrix")
-    if NUMBA_ENABLED:
-        return _jacobi_nb(S, tol, max_sweeps)
-    return _jacobi_np(S, tol, max_sweeps)
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    A = np.array([[1.0, 1.0], [1.0, -1.0]])
-    gray_scan(A)
-    x = np.eye(2)
-    y = np.eye(2)
-    alternating_sweeps(A, x, y, 4, 1e-6)
-    jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
+def jacobi_eigenvalues(S: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending."""
+    # The name is kept because the benchmark times the PSD check through it.
+    return np.linalg.eigvalsh(S)

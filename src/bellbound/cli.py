@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .classical import classical_bound
 from .errors import BellboundError
 from .matrices import (
@@ -62,7 +62,7 @@ def _report(command: str, inputs: dict, results: dict, comparisons=None) -> dict
     report = {
         "command": command,
         "version": __version__,
-        "backend": _kernels.backend(),
+        "backend": "numpy",
         "inputs": inputs,
         "results": results,
     }

@@ -14,7 +14,6 @@ which implies the objective never exceeds (sum u + sum v) / 2.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import BinaryIO, Optional
 
@@ -32,7 +31,6 @@ from .matrices import CoefficientMatrix
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-7
-JACOBI_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -144,16 +142,7 @@ def quantum_bound(
         raise DimensionMismatchError("restarts must be at least 1")
 
     children = np.random.SeedSequence(seed).spawn(restarts)
-    workers = min(_kernels.worker_count(), restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(
-                pool.map(
-                    lambda c: _solve_restart(A, r, c, max_iters, tol), children
-                )
-            )
-    else:
-        runs = [_solve_restart(A, r, c, max_iters, tol) for c in children]
+    runs = [_solve_restart(A, r, c, max_iters, tol) for c in children]
 
     best = 0
     for i in range(1, restarts):
@@ -166,7 +155,7 @@ def quantum_bound(
     v = np.linalg.norm(A.T @ x, axis=1)
     upper = float(u.sum() + v.sum()) / 2.0
     M = certificate_matrix(matrix, u, v)
-    min_eig = float(_kernels.jacobi_eigenvalues(M, tol=JACOBI_TOL)[0])
+    min_eig = float(_kernels.jacobi_eigenvalues(M)[0])
 
     primal = GramSolution(x=x, y=y, objective=objective)
     dual = DualCertificate(u=u, v=v, upper_bound=upper, min_eigenvalue=min_eig)
@@ -194,7 +183,7 @@ def check_dual(
             f"certificate has {certificate.v.size} column weights, expected {matrix.cols}"
         )
     M = certificate_matrix(matrix, certificate.u, certificate.v)
-    min_eig = float(_kernels.jacobi_eigenvalues(M, tol=JACOBI_TOL)[0])
+    min_eig = float(_kernels.jacobi_eigenvalues(M)[0])
     return min_eig >= -tol
 
 

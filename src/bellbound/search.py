@@ -79,12 +79,6 @@ class ReferenceConstants:
     tsirelson_estimate: tuple[float, float]
     k20_lower: float
 
-    def fishburn_reeds(self, q: int) -> float:
-        """Lower bound (3q - 1) / (2q - 1) for q(q-1) observables, q >= 2."""
-        if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < 2:
-            raise DomainError(f"fishburn_reeds requires an integer q >= 2, got {q}")
-        return (3.0 * q - 1.0) / (2.0 * q - 1.0)
-
 
 def reference_constants() -> ReferenceConstants:
     return ReferenceConstants(

@@ -1,13 +1,4 @@
-import pytest
 from hypothesis import settings
-
-import bellbound
 
 settings.register_profile("ci", deadline=None, max_examples=50)
 settings.load_profile("ci")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation must not pollute timing-sensitive tests.
-    bellbound.warm_up()

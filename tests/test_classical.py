@@ -12,7 +12,6 @@ from bellbound import (
     evaluate_classical,
     tensor_power,
 )
-from bellbound._kernels import _gray_scan_np, gray_scan
 from bellbound.errors import DimensionMismatchError, DomainError, SizeLimitError
 
 # Classical maxima of the tensor-power family, frozen from the brute-force
@@ -114,16 +113,36 @@ def test_scaling_equivariance(c):
     assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
 
 
-def test_backends_agree_on_integer_matrices():
+def first_gray_order_maximizer(entries):
+    # Plain loop over the scan side in Gray order: s[0] = +1 and candidate k
+    # sets s[j+1] = -1 for each bit j of k ^ (k >> 1).  Keeps the first
+    # candidate whose value beats every earlier one.
+    n = entries.shape[0]
+    best, best_s = -1.0, None
+    for k in range(2 ** (n - 1)):
+        g = k ^ (k >> 1)
+        s = np.array([1.0] + [-1.0 if (g >> j) & 1 else 1.0 for j in range(n - 1)])
+        value = float(np.abs(s @ entries).sum())
+        if value > best:
+            best, best_s = value, s
+    return best_s, np.where(best_s @ entries >= 0.0, 1.0, -1.0)
+
+
+def test_witness_is_first_gray_order_maximizer():
+    # Small integer entries make ties between sign vectors common, so the
+    # witness pins the tie-break, not just the bound.
     rng = np.random.default_rng(11)
-    for _ in range(10):
+    for _ in range(20):
         n = int(rng.integers(1, 10))
         m = int(rng.integers(1, 10))
         entries = rng.integers(-3, 4, (n, m)).astype(np.float64)
-        val_np, idx_np = _gray_scan_np(entries)
-        val_any, idx_any = gray_scan(entries)
-        assert val_np == val_any
-        assert idx_np == idx_any
+        witness = classical_bound(CoefficientMatrix(entries)).witness
+        if m < n:  # the scan runs over the smaller side
+            t, s = first_gray_order_maximizer(entries.T)
+        else:
+            s, t = first_gray_order_maximizer(entries)
+        assert np.array_equal(witness.s, s)
+        assert np.array_equal(witness.t, t)
 
 
 def test_size_guard_advises_transposition():

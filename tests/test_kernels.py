@@ -1,28 +1,6 @@
 import numpy as np
-import pytest
 
 from bellbound import _kernels
-from bellbound.errors import BellboundError
-
-
-def test_backend_reports_a_known_name():
-    assert _kernels.backend() in ("numba", "numpy")
-
-
-def test_worker_count_honors_environment(monkeypatch):
-    monkeypatch.setenv("BELLBOUND_THREADS", "3")
-    assert _kernels.worker_count() == 3
-    monkeypatch.delenv("BELLBOUND_THREADS")
-    assert _kernels.worker_count() >= 1
-
-
-def test_worker_count_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("BELLBOUND_THREADS", "many")
-    with pytest.raises(BellboundError):
-        _kernels.worker_count()
-    monkeypatch.setenv("BELLBOUND_THREADS", "0")
-    with pytest.raises(BellboundError):
-        _kernels.worker_count()
 
 
 def test_gray_signs_reconstruction():
@@ -52,29 +30,6 @@ def test_alternating_sweeps_zero_matrix_converges():
     hist, converged = _kernels.alternating_sweeps(A, x, y, 10, 1e-9)
     assert converged
     assert hist[-1] == 0.0
-
-
-def test_alternating_backends_agree():
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((4, 3))
-
-    def solve(impl):
-        r = np.random.default_rng(1)
-        x = r.standard_normal((4, 3))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        y = r.standard_normal((3, 3))
-        y /= np.linalg.norm(y, axis=1, keepdims=True)
-        hist, _ = impl(A, x, y, 2000, 1e-12)
-        return hist[-1]
-
-    reference = solve(_kernels._alt_sweeps_np)
-    if _kernels.NUMBA_ENABLED:
-        assert solve(_kernels._alt_sweeps_nb) == pytest.approx(reference, rel=1e-9)
-
-
-def test_jacobi_rejects_non_square():
-    with pytest.raises(BellboundError):
-        _kernels.jacobi_eigenvalues(np.ones((2, 3)))
 
 
 def test_jacobi_trivial_sizes():

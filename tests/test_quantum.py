@@ -15,7 +15,6 @@ from bellbound import (
     tensor_power,
     violation_ratio,
 )
-from bellbound._kernels import _jacobi_np, jacobi_eigenvalues
 from bellbound.errors import DimensionMismatchError, UndefinedRatioError
 from bellbound.quantum import certificate_matrix
 
@@ -216,21 +215,3 @@ def test_certificate_round_trip(tmp_path):
     assert np.array_equal(loaded.v, result.dual.v)
     assert loaded.upper_bound == result.dual.upper_bound
     assert check_dual(chsh_matrix(), loaded, tol=1e-8)
-
-
-@pytest.mark.parametrize("size", [2, 5, 9])
-def test_jacobi_matches_lapack_oracle(size):
-    rng = np.random.default_rng(size)
-    for _ in range(5):
-        sym = rng.standard_normal((size, size))
-        sym = (sym + sym.T) / 2.0
-        ours = jacobi_eigenvalues(sym)
-        lapack = np.linalg.eigvalsh(sym)
-        assert np.abs(ours - lapack).max() <= 1e-9
-
-
-def test_jacobi_numpy_fallback_matches():
-    rng = np.random.default_rng(77)
-    sym = rng.standard_normal((6, 6))
-    sym = (sym + sym.T) / 2.0
-    assert np.abs(_jacobi_np(sym, 1e-11, 100) - np.linalg.eigvalsh(sym)).max() <= 1e-9

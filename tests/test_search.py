@@ -25,16 +25,6 @@ def test_reference_constant_values():
     assert ref.k20_lower == pytest.approx(10.0 / 7.0)
 
 
-def test_fishburn_reeds_bound():
-    ref = reference_constants()
-    assert ref.fishburn_reeds(2) == pytest.approx(5.0 / 3.0)
-    assert ref.fishburn_reeds(3) == pytest.approx(8.0 / 5.0)
-    with pytest.raises(DomainError):
-        ref.fishburn_reeds(1)
-    with pytest.raises(DomainError):
-        ref.fishburn_reeds(0)
-
-
 def test_two_by_two_search_approaches_maximum():
     record = ratio_search(2, 2, 500, seed=0)
     assert record.ratio >= 1.41

@@ -28,7 +28,6 @@ from .matrices import (
 )
 from .operators import (
     OperatorExpression,
-    OperatorWord,
     closed_form_bound,
     norm_estimate,
     normalized_violation_estimate,
@@ -85,7 +84,6 @@ __all__ = [
     "violation_ratio",
     "save_certificate",
     "load_certificate",
-    "OperatorWord",
     "OperatorExpression",
     "square_bell_operator",
     "numeric_check",

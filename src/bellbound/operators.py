@@ -31,32 +31,6 @@ Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
-class OperatorWord:
-    """A product of site generators in canonical order.
-
-    X generators come before Y generators (cross-site operators commute) and
-    immediately repeated generators cancel in pairs (each squares to I).
-    """
-
-    x_indices: tuple[int, ...]
-    y_indices: tuple[int, ...]
-
-    @classmethod
-    def from_product(cls, x_indices, y_indices) -> "OperatorWord":
-        return cls(_cancel_repeats(x_indices), _cancel_repeats(y_indices))
-
-
-def _cancel_repeats(indices) -> tuple[int, ...]:
-    out: list[int] = []
-    for idx in indices:
-        if out and out[-1] == idx:
-            out.pop()
-        else:
-            out.append(int(idx))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class OperatorExpression:
     """The squared Bell operator, collected by term kind.
 
@@ -111,40 +85,34 @@ def square_bell_operator(matrix: CoefficientMatrix) -> OperatorExpression:
     if not np.isin(A, (-1.0, 0.0, 1.0)).all():
         raise DomainError("squaring requires every entry to be -1, 0, or +1")
 
-    identity = float((A * A).sum())
-    comm: list[tuple[Pair, Pair, float]] = []
-    acomm: list[tuple[Pair, Pair, float]] = []
-    residual: list[tuple[str, Pair, float]] = []
-
-    for i in range(n):
-        for k in range(i + 1, n):
-            row_dot = float(A[i] @ A[k])
-            if row_dot != 0.0:
-                residual.append(("x", (i, k), row_dot))
-    for j in range(m):
-        for l in range(j + 1, m):
-            col_dot = float(A[:, j] @ A[:, l])
-            if col_dot != 0.0:
-                residual.append(("y", (j, l), col_dot))
-
-    for i in range(n):
-        for k in range(i + 1, n):
-            for j in range(m):
-                for l in range(j + 1, m):
-                    forward = A[i, j] * A[k, l]
-                    crossed = A[i, l] * A[k, j]
-                    c = 0.5 * (forward - crossed)
-                    q = 0.5 * (forward + crossed)
-                    if c != 0.0:
-                        comm.append(((i, k), (j, l), float(c)))
-                    if q != 0.0:
-                        acomm.append(((i, k), (j, l), float(q)))
-
+    # Coefficient arrays are indexed [x pair, y pair].  One list of canonical
+    # pairs serves both sites because n == m, and entries in {-1, 0, +1} make
+    # every product and dot product exact.
+    pairs = np.triu_indices(n, 1)
+    I, K = pairs
+    forward = A[np.ix_(I, I)] * A[np.ix_(K, K)]  # A[i,j] A[k,l]
+    crossed = A[np.ix_(I, K)] * A[np.ix_(K, I)]  # A[i,l] A[k,j]
+    canonical = list(zip(I.tolist(), K.tolist()))
+    residual = [
+        (site, pair, c)
+        for site, dots in (("x", A @ A.T), ("y", A.T @ A))
+        for pair, c in zip(canonical, dots[pairs].tolist())
+        if c != 0.0
+    ]
     return OperatorExpression(
-        identity_coeff=identity,
-        comm_terms=tuple(comm),
-        acomm_terms=tuple(acomm),
+        identity_coeff=float((A * A).sum()),
+        comm_terms=_collect(0.5 * (forward - crossed), canonical),
+        acomm_terms=_collect(0.5 * (forward + crossed), canonical),
         residual_terms=tuple(residual),
+    )
+
+
+def _collect(coeffs: np.ndarray, canonical: list[Pair]) -> tuple:
+    """Nonzero coeffs[p, q] as (canonical[p], canonical[q], c), row-major."""
+    p, q = np.nonzero(coeffs)
+    return tuple(
+        (canonical[i], canonical[j], c)
+        for i, j, c in zip(p.tolist(), q.tolist(), coeffs[p, q].tolist())
     )
 
 

@@ -23,6 +23,7 @@ from . import _kernels
 from .classical import classical_bound
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     MatrixFormatError,
     UndefinedRatioError,
 )
@@ -123,7 +124,7 @@ def quantum_bound(
         matrix: coefficient matrix A.
         restarts: number of independent random starts; the best objective wins,
             ties broken by the lowest restart index.
-        max_iters: sweep budget per restart.
+        max_iters: sweep budget per restart; must be non-negative.
         tol: relative objective-change threshold for convergence; also the
             slack allowed on the primal-dual gap.
         seed: root seed; together with ``restarts`` it fixes every output.
@@ -140,6 +141,8 @@ def quantum_bound(
         raise DimensionMismatchError("gram_dim must be at least 1")
     if restarts < 1:
         raise DimensionMismatchError("restarts must be at least 1")
+    if max_iters < 0:
+        raise DomainError(f"max_iters must be non-negative, got {max_iters}")
 
     children = np.random.SeedSequence(seed).spawn(restarts)
     runs = [_solve_restart(A, r, c, max_iters, tol) for c in children]

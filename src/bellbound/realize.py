@@ -12,6 +12,11 @@ entrywise complex conjugate of Y_l on the second site equals x_k . y_l:
 
 because Tr(g_a g_b) = D * delta_ab.  The conjugate-second-site convention is
 the single normative convention used throughout.
+
+The state is stored as a D^2-vector psi, never as a density matrix, and no
+D^2 x D^2 operator is built: with Psi = psi reshaped to D x D (first site on
+rows), (X (x) conj(Y)) psi reshapes to X Psi Y^H, so every correlation is the
+D x D trace Tr(Psi^H X Psi Y^H).
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ class CliffordBasis:
 
 @dataclass(frozen=True)
 class ObservableRealization:
-    """Explicit observables plus the maximally entangled state."""
+    """Explicit observables plus a bipartite state vector of length D^2."""
 
     x_observables: np.ndarray
     y_observables: np.ndarray
@@ -96,9 +101,8 @@ def clifford_generators(r: int) -> CliffordBasis:
 
 
 def maximally_entangled_state(dim: int) -> np.ndarray:
-    """Density matrix of (1/sqrt(D)) sum_i |ii> on the bipartite space."""
-    vec = np.eye(dim, dtype=np.complex128).reshape(-1) / np.sqrt(dim)
-    return np.outer(vec, vec.conj())
+    """The unit D^2-vector (1/sqrt(D)) sum_i |ii>, that is vec(I) / sqrt(D)."""
+    return np.eye(dim, dtype=np.complex128).reshape(-1) / np.sqrt(dim)
 
 
 def realize(matrix: CoefficientMatrix, gram: GramSolution) -> ObservableRealization:
@@ -127,23 +131,21 @@ def realize(matrix: CoefficientMatrix, gram: GramSolution) -> ObservableRealizat
 
 
 def correlation_matrix(realization: ObservableRealization) -> np.ndarray:
-    """All pair correlations Tr(rho * (X_k (x) conj(Y_l)))."""
-    n = realization.x_observables.shape[0]
-    m = realization.y_observables.shape[0]
-    rho = realization.state
-    out = np.empty((n, m), dtype=np.float64)
-    for k in range(n):
-        for l in range(m):
-            op = np.kron(
-                realization.x_observables[k],
-                realization.y_observables[l].conj(),
-            )
-            out[k, l] = np.einsum("ij,ji->", rho, op).real
-    return out
+    """All pair correlations <psi| X_k (x) conj(Y_l) |psi> of the stored state."""
+    dim = realization.dim
+    psi = realization.state.reshape(dim, dim)
+    return np.einsum(
+        "ab,kac,cd,lbd->kl",
+        psi.conj(),
+        realization.x_observables,
+        psi,
+        realization.y_observables.conj(),
+        optimize=True,
+    ).real
 
 
 def bell_value(realization: ObservableRealization, matrix: CoefficientMatrix) -> float:
-    """Tr(rho * sum_kl A[k,l] X_k (x) conj(Y_l))."""
+    """<psi| sum_kl A[k,l] X_k (x) conj(Y_l) |psi>."""
     n = realization.x_observables.shape[0]
     m = realization.y_observables.shape[0]
     if (n, m) != (matrix.rows, matrix.cols):
@@ -151,18 +153,7 @@ def bell_value(realization: ObservableRealization, matrix: CoefficientMatrix) ->
             f"realization has {n}x{m} observables, matrix is "
             f"{matrix.rows}x{matrix.cols}"
         )
-    A = matrix.entries
-    dim = realization.dim
-    bell = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for k in range(n):
-        for l in range(m):
-            if A[k, l] != 0.0:
-                bell += A[k, l] * np.kron(
-                    realization.x_observables[k],
-                    realization.y_observables[l].conj(),
-                )
-    value = np.einsum("ij,ji->", realization.state, bell)
-    return float(value.real)
+    return float((matrix.entries * correlation_matrix(realization)).sum())
 
 
 def realization_to_json(realization: ObservableRealization) -> dict:

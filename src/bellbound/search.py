@@ -22,7 +22,12 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from .classical import classical_bound
-from .errors import DimensionMismatchError, DomainError, SizeLimitError
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    MatrixFormatError,
+    SizeLimitError,
+)
 from .matrices import CoefficientMatrix
 from .quantum import quantum_bound
 
@@ -59,15 +64,21 @@ class SearchRecord:
 
 
 def record_from_json(line: str) -> SearchRecord:
-    doc = json.loads(line)
-    return SearchRecord(
-        matrix=CoefficientMatrix(np.asarray(doc["entries"], dtype=np.float64)),
-        ratio=float(doc["ratio"]),
-        classical=float(doc["classical"]),
-        quantum=float(doc["quantum"]),
-        iteration_found=int(doc["iteration_found"]),
-        seed=int(doc["seed"]),
-    )
+    """Parse one ledger line; raise MatrixFormatError if it is not a record."""
+    try:
+        doc = json.loads(line)
+        return SearchRecord(
+            matrix=CoefficientMatrix(np.asarray(doc["entries"], dtype=np.float64)),
+            ratio=float(doc["ratio"]),
+            classical=float(doc["classical"]),
+            quantum=float(doc["quantum"]),
+            iteration_found=int(doc["iteration_found"]),
+            seed=int(doc["seed"]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MatrixFormatError(
+            f"malformed ledger line {line[:80]!r}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,32 @@ def test_strict_flags_non_convergence(chsh_file, capsys):
     assert report["results"]["converged"] is False
 
 
+def test_negative_sweep_budget_exit_code(chsh_file, capsys):
+    # Used to exit 1 with a traceback from np.empty in the sweeps.
+    code = run(["quantum", "--matrix", chsh_file, "--max-iters", "-1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "max_iters" in captured.err
+    code, _ = invoke(capsys, ["quantum", "--matrix", chsh_file, "--max-iters", "0"])
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "line, cause", [("not json", "JSONDecodeError"), ('{"n": 2}', "KeyError")]
+)
+def test_malformed_ledger_line_exit_code(tmp_path, capsys, line, cause):
+    # Each line used to exit 1 with a traceback from record_from_json.
+    ledger = tmp_path / "bad.jsonl"
+    ledger.write_text(line + "\n", encoding="utf-8")
+    code = run(["report", "--ledger", str(ledger)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert repr(line) in captured.err
+    assert cause in captured.err
+
+
 def test_module_entry_point(tmp_path):
     # one end-to-end process run through python -m
     result = subprocess.run(

@@ -1,3 +1,4 @@
+import json
 import math
 from math import comb
 
@@ -6,7 +7,6 @@ import pytest
 
 from bellbound import (
     CoefficientMatrix,
-    OperatorWord,
     chsh_matrix,
     closed_form_bound,
     norm_estimate,
@@ -220,6 +220,50 @@ def test_norm_estimate_dominates_quantum_value(d):
     assert estimate >= quantum - 1e-6
 
 
+def loop_expansion(A):
+    """Reference B^2 expansion: one pass over every (i<k, j<l) quadruple."""
+    n = A.shape[0]
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    comm, acomm = [], []
+    for i, k in pairs:
+        for j, l in pairs:
+            forward = A[i, j] * A[k, l]
+            crossed = A[i, l] * A[k, j]
+            if forward != crossed:
+                comm.append([[i, k], [j, l], 0.5 * float(forward - crossed)])
+            if forward != -crossed:
+                acomm.append([[i, k], [j, l], 0.5 * float(forward + crossed)])
+    residual = [
+        [site, [i, k], float(dots[i, k])]
+        for site, dots in (("x", A @ A.T), ("y", A.T @ A))
+        for i, k in pairs
+        if dots[i, k] != 0.0
+    ]
+    return {
+        "identity": float((A * A).sum()),
+        "commutators": comm,
+        "anticommutators": acomm,
+        "residual": residual,
+    }
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [tensor_power(3)]
+    + [
+        CoefficientMatrix(np.random.default_rng(seed).integers(-1, 2, (9, 9)))
+        for seed in range(3)
+    ],
+    ids=["tensor3", "random0", "random1", "random2"],
+)
+def test_expansion_matches_reference_term_for_term(matrix):
+    # The report bytes follow this order: x pairs (i, k) major, then y pairs
+    # (j, l), each in row-major canonical order; residuals x before y.
+    doc = square_bell_operator(matrix).to_json_dict()
+    assert doc == loop_expansion(matrix.entries)
+    assert json.dumps(doc) == json.dumps(loop_expansion(matrix.entries))
+
+
 def test_expression_json_dump():
     doc = square_bell_operator(chsh_matrix()).to_json_dict()
     assert doc["identity"] == 4.0
@@ -227,11 +271,3 @@ def test_expression_json_dump():
     assert doc["anticommutators"] == []
     assert doc["residual"] == []
 
-
-def test_operator_word_canonicalization():
-    word = OperatorWord.from_product((1, 1, 2), (3,))
-    assert word.x_indices == (2,)
-    assert word.y_indices == (3,)
-    nested = OperatorWord.from_product((1, 2, 2, 1), (0, 0))
-    assert nested.x_indices == ()
-    assert nested.y_indices == ()

@@ -7,6 +7,7 @@ import pytest
 from bellbound import (
     CoefficientMatrix,
     GramSolution,
+    ObservableRealization,
     bell_value,
     chsh_matrix,
     classical_bound,
@@ -69,12 +70,71 @@ def test_generator_count_guards():
         clifford_generators(13)
 
 
-def test_state_is_valid_density_matrix():
-    rho = maximally_entangled_state(4)
+def test_state_is_unit_vector_with_maximally_mixed_marginal():
+    dim = 4
+    psi = maximally_entangled_state(dim)
+    assert psi.shape == (dim * dim,)
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+    rho = np.outer(psi, psi.conj())
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.abs(rho - rho.conj().T).max() <= 1e-12
-    eigs = np.linalg.eigvalsh(rho)
-    assert eigs.min() >= -1e-12
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+    reduced = np.einsum("abcb->ac", rho.reshape(dim, dim, dim, dim))
+    assert np.abs(reduced - np.eye(dim) / dim).max() <= 1e-12
+
+
+def kron_correlations(realization):
+    """Dense oracle: Tr(rho (X_k (x) conj(Y_l))) with rho = psi psi^H."""
+    psi = realization.state
+    rho = np.outer(psi, psi.conj())
+    return np.array([
+        [np.trace(rho @ np.kron(x, y.conj())).real
+         for y in realization.y_observables]
+        for x in realization.x_observables
+    ])
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        chsh_matrix(),
+        tensor_power(2),
+        CoefficientMatrix(np.random.default_rng(5).standard_normal((5, 5))),
+    ],
+    ids=["chsh", "tensor2", "gauss5x5"],
+)
+def test_correlations_match_dense_kronecker_oracle(matrix):
+    realization = realize(matrix, quantum_bound(matrix, seed=0).primal)
+    assert realization.dim <= 8
+    expected = kron_correlations(realization)
+    assert np.abs(correlation_matrix(realization) - expected).max() <= 1e-12
+    value = float((matrix.entries * expected).sum())
+    assert abs(bell_value(realization, matrix) - value) <= 1e-12
+
+
+def test_correlations_read_the_stored_state():
+    paulis = np.stack([
+        [[1.0, 0.0], [0.0, -1.0]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, -1.0j], [1.0j, 0.0]],
+    ])
+    product = np.zeros(4, dtype=np.complex128)
+    product[0] = 1.0  # |00>
+    realization = ObservableRealization(
+        x_observables=paulis, y_observables=paulis, state=product
+    )
+    expected = np.zeros((3, 3))
+    expected[0, 0] = 1.0  # only <0|Z|0> <0|Z|0> survives
+    assert np.abs(correlation_matrix(realization) - expected).max() <= 1e-12
+    # An arbitrary complex state checks the conjugate-second-site convention.
+    rng = np.random.default_rng(0)
+    state = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    realization = ObservableRealization(
+        x_observables=paulis, y_observables=paulis,
+        state=state / np.linalg.norm(state),
+    )
+    expected = kron_correlations(realization)
+    assert np.abs(correlation_matrix(realization) - expected).max() <= 1e-12
 
 
 def test_chsh_optimum_realization():
@@ -168,4 +228,4 @@ def test_realization_json_round_trip_values():
     rebuilt = rebuilt[..., 0] + 1j * rebuilt[..., 1]
     assert np.array_equal(rebuilt, realization.x_observables)
     state = np.array(doc["state"])
-    assert state.shape == (4, 4, 2)
+    assert state.shape == (4, 2)

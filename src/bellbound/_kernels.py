@@ -5,34 +5,59 @@ from __future__ import annotations
 
 import numpy as np
 
-_GRAY_CHUNK = 1 << 14
+_SCAN_BLOCK = 1 << 16
 
 
 # --------------------------------------------------------------------------
-# Gray-code scan: max over s in {+-1}^n, s[0] = +1, of sum_l |sum_k A[k,l] s_k|.
-# Candidate k encodes the Gray code k ^ (k >> 1); bit j set means s[j+1] = -1.
+# Sign scan: max over s in {+-1}^n, s[0] = +1, of sum_l |sum_k A[k,l] s_k|.
+# Candidate i encodes the Gray code i ^ (i >> 1); bit j set means s[j+1] = -1.
 # Returns (best value, index of the first candidate attaining it).
+#
+# Meet in the middle: the n-1 free signs split into k low and n-1-k high
+# bits.  Each half's column sums come from a doubling table in reflected Gray
+# order, P <- [P + a_j; P[::-1] - a_j], so row r holds Gray pattern
+# r ^ (r >> 1) and no sign matrix is formed.  Block j adds high row j to every
+# low row in one elementwise pass (no BLAS).  Its rows need no inverse Gray
+# map: row r has index (j << k) | r, counted from the end when j is odd,
+# since the high pattern's parity flips every low index bit.  Blocks run in
+# index order and the comparison is strict, so the first maximizer wins (an
+# all-zero matrix gives 0).  k is at least half the free signs, bounding both
+# tables, and large enough for a block of about _SCAN_BLOCK sums, keeping the
+# Python loop short; small scans are a single block.
 # --------------------------------------------------------------------------
+
+
+def _reflected_sums(rows: np.ndarray, base: np.ndarray) -> np.ndarray:
+    P = base[None, :]
+    for a in rows:
+        P = np.concatenate((P + a, P[::-1] - a))
+    return P
 
 
 def gray_scan(A: np.ndarray) -> tuple[float, int]:
-    A = np.ascontiguousarray(A, dtype=np.float64)
+    A = np.asarray(A, dtype=np.float64)
     n, m = A.shape
-    total = 1 << (n - 1)
+    free = n - 1
+    k = max((free + 1) // 2, min(free, (_SCAN_BLOCK // m).bit_length() - 1))
+    lo = _reflected_sums(A[1 : k + 1], A[0])
+    if k == free:
+        vals = np.abs(lo).sum(axis=1)
+        i = int(vals.argmax())
+        return float(vals[i]), i
+    lo = np.ascontiguousarray(lo.T)
+    buf = np.empty_like(lo)
+    vals = np.empty(lo.shape[1])
     best_val = -1.0
     best_idx = 0
-    for start in range(0, total, _GRAY_CHUNK):
-        ks = np.arange(start, min(start + _GRAY_CHUNK, total), dtype=np.int64)
-        g = ks ^ (ks >> 1)
-        signs = np.empty((ks.shape[0], n), dtype=np.float64)
-        signs[:, 0] = 1.0
-        for j in range(n - 1):
-            signs[:, j + 1] = 1.0 - 2.0 * ((g >> j) & 1)
-        vals = np.abs(signs @ A).sum(axis=1)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_idx = int(ks[i])
+    for j, high in enumerate(_reflected_sums(A[k + 1 :], np.zeros(m))):
+        np.add(lo, high[:, None], out=buf)
+        np.abs(buf, out=buf)
+        buf.sum(axis=0, out=vals)
+        run = vals[::-1] if j & 1 else vals
+        r = int(run.argmax())
+        if run[r] > best_val:
+            best_val = float(run[r])
+            best_idx = (j << k) | r
     return best_val, best_idx
 
 

@@ -1,10 +1,14 @@
 """Exact classical (local-hidden-variable) maxima by sign enumeration.
 
 The classical maximum of s^T A t over sign vectors reduces to enumerating s
-and solving t in closed form: t_l = sign(sum_k A[k,l] s_k).  The enumeration
-walks a Gray code so each step updates the column sums in O(m), fixes the
-first sign to +1 by global sign symmetry, and keeps the first maximizer in
-Gray order.  The scan runs over whichever side of the matrix is smaller.
+and solving t in closed form: t_l = sign(sum_k A[k,l] s_k).  The first sign
+is fixed to +1 by global sign symmetry, and the scan runs over whichever side
+of the matrix is smaller.  It splits the free signs into a low and a high
+half, builds each half's column sums by doubling, and adds every high row to
+the whole low table, so no sign matrix is formed (see ``_kernels``).  The
+witness is the first maximizer in Gray order.  A scan is refused when its
+work, 2^(r-1) candidates times c column sums on the r x c scanned side,
+exceeds that of a 28 x 28 scan.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from . import _kernels
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
 from .matrices import CoefficientMatrix
 
-ENUMERATION_CAP = 28
+WORK_LIMIT = 28 << 27  # sums in a 28 x 28 scan
 
 
 @dataclass(frozen=True)
@@ -67,26 +71,22 @@ def evaluate_classical(
 def classical_bound(matrix: CoefficientMatrix) -> ClassicalBoundResult:
     """Exact maximum of s^T A t over sign vectors, with a witness.
 
-    Raises SizeLimitError when the matrix has more than 28 rows; the bound is
-    transpose-invariant, so wide-but-short matrices can be transposed first.
+    Raises SizeLimitError when the scan over the smaller side would compute
+    more than WORK_LIMIT column sums.
     """
-    n, m = matrix.rows, matrix.cols
-    if n > ENUMERATION_CAP:
-        hint = (
-            f"; the bound is transpose-invariant, enumerate the transpose "
-            f"({m} rows) instead"
-            if m <= ENUMERATION_CAP
-            else ""
-        )
-        raise SizeLimitError(
-            f"{n} rows exceeds the {ENUMERATION_CAP}-row enumeration cap{hint}"
-        )
-
     flip = matrix.cols < matrix.rows
     A = matrix.entries.T if flip else matrix.entries
+    r, c = A.shape
+    candidates = 1 << (r - 1)
+    if candidates * c > WORK_LIMIT:
+        raise SizeLimitError(
+            f"a {matrix.rows}x{matrix.cols} matrix needs {candidates} sign "
+            f"candidates of {c} column sums each, more than the "
+            f"{WORK_LIMIT}-sum enumeration limit"
+        )
     _, best_idx = _kernels.gray_scan(A)
 
-    s = _kernels.gray_signs(best_idx, A.shape[0])
+    s = _kernels.gray_signs(best_idx, r)
     col = s @ A
     t = np.where(col >= 0.0, 1.0, -1.0)
     value = float(col @ t)

@@ -12,6 +12,7 @@ from bellbound import (
     evaluate_classical,
     tensor_power,
 )
+from bellbound import _kernels
 from bellbound.errors import DimensionMismatchError, DomainError, SizeLimitError
 
 # Classical maxima of the tensor-power family, frozen from the brute-force
@@ -145,14 +146,36 @@ def test_witness_is_first_gray_order_maximizer():
         assert np.array_equal(witness.t, t)
 
 
-def test_size_guard_advises_transposition():
-    wide = CoefficientMatrix(np.ones((29, 2)))
-    with pytest.raises(SizeLimitError, match="transpose"):
-        classical_bound(wide)
-    square = CoefficientMatrix(np.ones((29, 29)))
-    with pytest.raises(SizeLimitError) as info:
-        classical_bound(square)
-    assert "transpose" not in str(info.value)
+@pytest.mark.parametrize("block", ["default", "balanced"])
+def test_split_scan_witness_is_first_gray_order_maximizer(block, monkeypatch):
+    # 12 to 17 scanned rows split into several high blocks; with a block
+    # size of 1 the split is the balanced one, k = ceil((n - 1) / 2), so the
+    # first maximizer must be found across blocks read in both directions.
+    # Two zero rows make every maximizer one of at least four tied ones.
+    if block == "balanced":
+        monkeypatch.setattr(_kernels, "_SCAN_BLOCK", 1)
+    rng = np.random.default_rng(12)
+    for n in range(12, 18):
+        entries = rng.integers(-2, 3, (n, n + 3)).astype(np.float64)
+        entries[rng.choice(np.arange(1, n), 2, replace=False)] = 0.0
+        witness = classical_bound(CoefficientMatrix(entries)).witness
+        s, t = first_gray_order_maximizer(entries)
+        assert np.array_equal(witness.s, s)
+        assert np.array_equal(witness.t, t)
+
+
+def test_size_guard_counts_the_scanned_side():
+    # 29 x 2 scans 2 columns, so it is cheap and equals its transpose.
+    wide = CoefficientMatrix(np.arange(58.0).reshape(29, 2) % 7 - 3)
+    assert classical_bound(wide).bound == classical_bound(wide.transposed()).bound
+    # 28 x 29 is one column past the largest allowed scan, 28 x 28.
+    with pytest.raises(SizeLimitError, match=str(2**27)):
+        classical_bound(CoefficientMatrix(np.ones((28, 29))))
+    # A 28-row scan over 100 000 columns would run for hours.
+    with pytest.raises(SizeLimitError, match=str(2**27)):
+        classical_bound(CoefficientMatrix(np.ones((100_000, 28))))
+    with pytest.raises(SizeLimitError, match=str(2**28)):
+        classical_bound(CoefficientMatrix(np.ones((29, 29))))
 
 
 def test_wide_matrix_enumerates_columns():

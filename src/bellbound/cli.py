@@ -1,10 +1,10 @@
 """Command-line frontend with reproducible JSON reports.
 
-Every subcommand prints a single JSON report to standard output carrying the
-command name, the tool version, an echo of the inputs (always including the
-seed), the results, and, for the built-in matrix families, a comparison
-table of reference values against computed ones.  Diagnostics go to standard
-error.
+Every subcommand prints one compact single-line JSON report to standard
+output carrying the command name, the tool version, an echo of the inputs
+(always including the seed), the results, and, for the built-in matrix
+families, a comparison table of reference values against computed ones.
+Diagnostics go to standard error.
 
 Exit codes: 0 success, 2 usage error, 3 size-guard/domain/format error,
 4 non-convergence under --strict.
@@ -72,8 +72,7 @@ def _report(command: str, inputs: dict, results: dict, comparisons=None) -> dict
 
 
 def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, separators=(",", ":")) + "\n")
 
 
 def _load_matrix_file(path: str) -> CoefficientMatrix:
@@ -261,7 +260,7 @@ def _cmd_realize(args) -> int:
         np.abs(correlation_matrix(realization) - gram_products).max()
     )
     with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(realization_to_json(realization), handle)
+        handle.write(json.dumps(realization_to_json(realization)))
     results = {
         "bell_value": value,
         "objective": bound.primal.objective,

@@ -10,69 +10,97 @@ rows and columns of A are pairwise orthogonal.
 
 Index pairs are canonical (first < second); commutator antisymmetry is
 absorbed into the sign of the coefficient.  All indices are 0-based.
+
+Squaring is capped at MAX_EXPANSION_SIZE = 32 observables per site; at 64,
+tensor_power(6) took 11.8 s of CPU, 818 MB and an 89 MB report (2 CPUs).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, SizeLimitError
 from .matrices import CoefficientMatrix
 
-MAX_EXPANSION_SIZE = 64
+MAX_EXPANSION_SIZE = 32
 MAX_NUMERIC_SIZE = 8
 MAX_NUMERIC_DIM = 16
 
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorExpression:
     """The squared Bell operator, collected by term kind.
 
-    comm_terms entries ((i, k), (j, l), c) mean  c * [X_i, X_k] [Y_j, Y_l];
-    acomm_terms entries mean  c * {X_i, X_k} {Y_j, Y_l};
-    residual_terms entries (site, (i, k), c) mean  c * {Z_i, Z_k}  on one site.
+    Stored as arrays over the canonical pairs ``pairs = np.triu_indices(n, 1)``:
+    comm[p, q]  = c  means  c * [X_i, X_k] [Y_j, Y_l]  for x pair p = (i, k)
+                     and y pair q = (j, l);
+    acomm[p, q] = c  means  c * {X_i, X_k} {Y_j, Y_l};
+    residual[s, p] = c  means  c * {Z_i, Z_k}  on site s (0 is x, 1 is y).
+    comm_terms, acomm_terms and residual_terms list the nonzero entries as
+    ((i, k), (j, l), c) and (site, (i, k), c) tuples, row-major.  They are
+    built on first access only; reports and norm estimates read the arrays.
+    Arrays do not compare with ``==``, so expressions compare by identity.
     """
 
     identity_coeff: float
-    comm_terms: tuple[tuple[Pair, Pair, float], ...] = ()
-    acomm_terms: tuple[tuple[Pair, Pair, float], ...] = ()
-    residual_terms: tuple[tuple[str, Pair, float], ...] = ()
+    pairs: tuple[np.ndarray, np.ndarray]
+    comm: np.ndarray
+    acomm: np.ndarray
+    residual: np.ndarray
+
+    @cached_property
+    def _canonical(self) -> list[Pair]:
+        return list(zip(*(index.tolist() for index in self.pairs)))
+
+    @cached_property
+    def comm_terms(self) -> tuple[tuple[Pair, Pair, float], ...]:
+        return tuple(_nonzero(self.comm, self._canonical, self._canonical))
+
+    @cached_property
+    def acomm_terms(self) -> tuple[tuple[Pair, Pair, float], ...]:
+        return tuple(_nonzero(self.acomm, self._canonical, self._canonical))
+
+    @cached_property
+    def residual_terms(self) -> tuple[tuple[str, Pair, float], ...]:
+        return tuple(_nonzero(self.residual, "xy", self._canonical))
 
     def assuming_commuting(self) -> "OperatorExpression":
         """The expression after setting every same-site commutator to zero."""
-        return OperatorExpression(
-            identity_coeff=self.identity_coeff,
-            comm_terms=(),
-            acomm_terms=self.acomm_terms,
-            residual_terms=self.residual_terms,
-        )
+        return replace(self, comm=np.zeros_like(self.comm))
 
     def to_json_dict(self) -> dict:
+        # One [i, k] list per canonical pair, shared by every term naming it.
+        pairs = [list(pair) for pair in self._canonical]
         return {
             "identity": self.identity_coeff,
-            "commutators": [
-                [list(xp), list(yp), c] for xp, yp, c in self.comm_terms
-            ],
-            "anticommutators": [
-                [list(xp), list(yp), c] for xp, yp, c in self.acomm_terms
-            ],
-            "residual": [
-                [site, list(pair), c] for site, pair, c in self.residual_terms
-            ],
+            "commutators": [list(t) for t in _nonzero(self.comm, pairs, pairs)],
+            "anticommutators": [list(t) for t in _nonzero(self.acomm, pairs, pairs)],
+            "residual": [list(t) for t in _nonzero(self.residual, "xy", pairs)],
         }
+
+
+def _nonzero(coeffs: np.ndarray, rows, cols):
+    """(rows[p], cols[q], coeffs[p, q]) for each nonzero entry, row-major."""
+    p, q = np.nonzero(coeffs)
+    return zip(
+        [rows[i] for i in p.tolist()],
+        [cols[j] for j in q.tolist()],
+        coeffs[p, q].tolist(),
+    )
 
 
 def square_bell_operator(matrix: CoefficientMatrix) -> OperatorExpression:
     """Expand (sum_kl A[k,l] X_k Y_l)^2 into collected canonical terms.
 
-    Requires a square matrix with entries in {-1, 0, +1} and at most 64
-    observables per site.
+    Requires a square matrix with entries in {-1, 0, +1} and at most
+    MAX_EXPANSION_SIZE observables per site.
     """
     A = matrix.entries
     n, m = matrix.rows, matrix.cols
@@ -92,27 +120,12 @@ def square_bell_operator(matrix: CoefficientMatrix) -> OperatorExpression:
     I, K = pairs
     forward = A[np.ix_(I, I)] * A[np.ix_(K, K)]  # A[i,j] A[k,l]
     crossed = A[np.ix_(I, K)] * A[np.ix_(K, I)]  # A[i,l] A[k,j]
-    canonical = list(zip(I.tolist(), K.tolist()))
-    residual = [
-        (site, pair, c)
-        for site, dots in (("x", A @ A.T), ("y", A.T @ A))
-        for pair, c in zip(canonical, dots[pairs].tolist())
-        if c != 0.0
-    ]
     return OperatorExpression(
         identity_coeff=float((A * A).sum()),
-        comm_terms=_collect(0.5 * (forward - crossed), canonical),
-        acomm_terms=_collect(0.5 * (forward + crossed), canonical),
-        residual_terms=tuple(residual),
-    )
-
-
-def _collect(coeffs: np.ndarray, canonical: list[Pair]) -> tuple:
-    """Nonzero coeffs[p, q] as (canonical[p], canonical[q], c), row-major."""
-    p, q = np.nonzero(coeffs)
-    return tuple(
-        (canonical[i], canonical[j], c)
-        for i, j, c in zip(p.tolist(), q.tolist(), coeffs[p, q].tolist())
+        pairs=pairs,
+        comm=0.5 * (forward - crossed),
+        acomm=0.5 * (forward + crossed),
+        residual=np.stack([(A @ A.T)[pairs], (A.T @ A)[pairs]]),
     )
 
 
@@ -128,31 +141,25 @@ def evaluate_expression(
 ) -> np.ndarray:
     """Numeric value of the expression on explicit bipartite operators.
 
-    ``x_ops[k]`` and ``y_ops[l]`` are the single-site factors; they are lifted
-    to X_k (x) I and I (x) Y_l internally.
+    ``x_ops[k]`` and ``y_ops[l]`` are the single-site factors; a product of
+    an x-site factor P and a y-site factor Q is np.kron(P, Q).
     """
-    dim_x = x_ops.shape[1]
-    dim_y = y_ops.shape[1]
-    eye_x = np.eye(dim_x, dtype=np.complex128)
-    eye_y = np.eye(dim_y, dtype=np.complex128)
-    out = expr.identity_coeff * np.eye(dim_x * dim_y, dtype=np.complex128)
+    def kron_sum(coeffs, left, right):
+        """sum_pq coeffs[p, q] * np.kron(left[p], right[q])."""
+        out = np.einsum("pq,pab,qcd->acbd", coeffs, left, right, optimize=True)
+        return out.reshape(left.shape[1] * right.shape[1], -1)
 
-    def comm(a, b):
-        return a @ b - b @ a
-
-    def acomm(a, b):
-        return a @ b + b @ a
-
-    for (i, k), (j, l), c in expr.comm_terms:
-        out += c * np.kron(comm(x_ops[i], x_ops[k]), comm(y_ops[j], y_ops[l]))
-    for (i, k), (j, l), c in expr.acomm_terms:
-        out += c * np.kron(acomm(x_ops[i], x_ops[k]), acomm(y_ops[j], y_ops[l]))
-    for site, (i, k), c in expr.residual_terms:
-        if site == "x":
-            out += c * np.kron(acomm(x_ops[i], x_ops[k]), eye_y)
-        else:
-            out += c * np.kron(eye_x, acomm(y_ops[i], y_ops[k]))
-    return out
+    I, K = expr.pairs
+    eye_x, eye_y = np.eye(x_ops.shape[1])[None], np.eye(y_ops.shape[1])[None]
+    xik, xki = x_ops[I] @ x_ops[K], x_ops[K] @ x_ops[I]
+    yik, yki = y_ops[I] @ y_ops[K], y_ops[K] @ y_ops[I]
+    return (
+        kron_sum(np.array([[expr.identity_coeff]]), eye_x, eye_y)
+        + kron_sum(expr.comm, xik - xki, yik - yki)
+        + kron_sum(expr.acomm, xik + xki, yik + yki)
+        + kron_sum(expr.residual[:1].T, xik + xki, eye_y)
+        + kron_sum(expr.residual[1:], eye_x, yik + yki)
+    )
 
 
 def numeric_check(matrix: CoefficientMatrix, dim: int = 2, seed: int = 0) -> float:
@@ -174,18 +181,11 @@ def numeric_check(matrix: CoefficientMatrix, dim: int = 2, seed: int = 0) -> flo
     rng = np.random.default_rng(seed)
     x_ops = np.stack([_random_involution(dim, rng) for _ in range(n)])
     y_ops = np.stack([_random_involution(dim, rng) for _ in range(m)])
-    eye = np.eye(dim, dtype=np.complex128)
-
     A = matrix.entries
-    bell = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for k in range(n):
-        for l in range(m):
-            if A[k, l] != 0.0:
-                bell += A[k, l] * (
-                    np.kron(x_ops[k], eye) @ np.kron(eye, y_ops[l])
-                )
+    bell = sum(
+        A[k, l] * np.kron(x_ops[k], y_ops[l]) for k in range(n) for l in range(m)
+    )
     direct = bell @ bell
-
     expanded = evaluate_expression(square_bell_operator(matrix), x_ops, y_ops)
     return float(np.abs(direct - expanded).max())
 
@@ -198,13 +198,12 @@ def norm_estimate(expr: OperatorExpression, commuting_sites: bool = False) -> fl
     Same-site commutators drop out when ``commuting_sites`` is set; single-site
     residual anticommutators contribute 2|c| either way.
     """
+    # Every coefficient is a half-integer or an integer, so the sums are exact.
     total = expr.identity_coeff
-    total += 4.0 * sum(abs(c) for _, _, c in expr.acomm_terms)
+    total += 4.0 * float(np.abs(expr.acomm).sum())
     if not commuting_sites:
-        total += 4.0 * sum(abs(c) for _, _, c in expr.comm_terms)
-    total += 2.0 * sum(abs(c) for _, _, c in expr.residual_terms)
-    if total < 0.0:
-        raise DomainError("norm estimate is undefined for a negative total")
+        total += 4.0 * float(np.abs(expr.comm).sum())
+    total += 2.0 * float(np.abs(expr.residual).sum())
     return math.sqrt(total)
 
 

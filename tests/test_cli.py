@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -6,7 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from bellbound import check_dual, load_certificate, load_matrix, tensor_power
+from bellbound import (
+    CoefficientMatrix,
+    check_dual,
+    load_certificate,
+    load_matrix,
+    quantum_bound,
+    realization_to_json,
+    realize,
+    save_matrix,
+    tensor_power,
+)
 from bellbound.cli import run
 
 REPORT_KEYS = {"command", "version", "backend", "inputs", "results"}
@@ -16,6 +27,8 @@ def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     report = json.loads(captured.out)
+    # Every report is one line of compact JSON.
+    assert captured.out == json.dumps(report, separators=(",", ":")) + "\n"
     assert REPORT_KEYS <= set(report)
     assert "seed" in report["inputs"]
     return code, report
@@ -161,6 +174,47 @@ def test_realize_subcommand(chsh_file, tmp_path, capsys):
     assert dump["sites"] == {"x": 2, "y": 2}
 
 
+@pytest.mark.parametrize("family", ["chsh", "gauss8"])
+def test_realize_out_matches_json_dump(family, chsh_file, tmp_path, capsys):
+    # realize --out writes with json.dumps; the bytes must equal json.dump's.
+    if family == "chsh":
+        path = chsh_file
+    else:
+        path = str(tmp_path / "gauss8.json")
+        entries = np.random.default_rng(8).standard_normal((8, 8))
+        with open(path, "wb") as handle:
+            save_matrix(CoefficientMatrix(entries), handle)
+    out = tmp_path / "real.json"
+    code, _ = invoke(
+        capsys, ["realize", "--matrix", path, "--seed", "0", "--out", str(out)]
+    )
+    assert code == 0
+    with open(path, "rb") as handle:
+        matrix = load_matrix(handle)
+    primal = quantum_bound(matrix, seed=0).primal
+    expected = io.StringIO()
+    json.dump(realization_to_json(realize(matrix, primal)), expected)
+    assert out.read_text(encoding="utf-8") == expected.getvalue()
+
+
+def test_every_subcommand_prints_one_compact_line(chsh_file, tmp_path, capsys):
+    ledger = str(tmp_path / "ledger.jsonl")
+    commands = [
+        ["generate", "--family", "chsh", "--out", str(tmp_path / "m.json")],
+        ["classical", "--matrix", chsh_file],
+        ["quantum", "--matrix", chsh_file, "--seed", "1"],
+        ["expand", "--matrix", chsh_file],
+        ["estimate", "--d", "2", "--normalized"],
+        ["realize", "--matrix", chsh_file, "--out", str(tmp_path / "r.json")],
+        ["search", "--n", "2", "--m", "2", "--iters", "5", "--ledger", ledger],
+        ["report", "--ledger", ledger],
+    ]
+    for argv in commands:
+        code, report = invoke(capsys, argv)  # checks the line format
+        assert code == 0
+        assert report["command"] == argv[0]
+
+
 def test_search_and_report(tmp_path, capsys):
     ledger = str(tmp_path / "ledger.jsonl")
     code, report = invoke(
@@ -202,6 +256,19 @@ def test_size_guard_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "error" in captured.err
+
+
+def test_expand_size_guard_exit_code(tmp_path, capsys):
+    # 33 observables per site is one past the expansion cap.
+    path = str(tmp_path / "big.json")
+    entries = np.random.default_rng(33).integers(-1, 2, (33, 33))
+    with open(path, "wb") as handle:
+        save_matrix(CoefficientMatrix(entries), handle)
+    code = run(["expand", "--matrix", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "cap" in captured.err
 
 
 def test_missing_file_exit_code(capsys):

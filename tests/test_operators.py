@@ -13,9 +13,11 @@ from bellbound import (
     normalized_violation_estimate,
     numeric_check,
     quantum_bound,
+    save_matrix,
     square_bell_operator,
     tensor_power,
 )
+from bellbound.cli import run
 from bellbound.errors import DomainError, SizeLimitError
 
 # Full term set of the squared four-observable Bell operator, 0-based indices,
@@ -107,7 +109,8 @@ def test_square_guards():
     with pytest.raises(DomainError, match="entry"):
         square_bell_operator(CoefficientMatrix(np.array([[0.5, 1.0], [1.0, 1.0]])))
     with pytest.raises(SizeLimitError):
-        square_bell_operator(CoefficientMatrix(np.ones((65, 65))))
+        square_bell_operator(CoefficientMatrix(np.ones((33, 33))))
+    assert len(square_bell_operator(tensor_power(5)).acomm_terms) > 0
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -159,6 +162,38 @@ def test_norm_estimate_counts_residuals():
     expr = square_bell_operator(CoefficientMatrix(np.ones((2, 2))))
     # identity 4 + one anticommutator (4) + two residuals (2 * 2) = 16
     assert norm_estimate(expr, commuting_sites=False) == 4.0
+
+
+def tuple_norm_estimate(expr, commuting_sites):
+    """Reference norm estimate: left-to-right sums over the term tuples."""
+    total = expr.identity_coeff
+    total += 4.0 * sum(abs(c) for _, _, c in expr.acomm_terms)
+    if not commuting_sites:
+        total += 4.0 * sum(abs(c) for _, _, c in expr.comm_terms)
+    total += 2.0 * sum(abs(c) for _, _, c in expr.residual_terms)
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [tensor_power(d) for d in range(1, 6)]
+    + [
+        CoefficientMatrix(np.random.default_rng(seed).integers(-1, 2, (n, n)))
+        for seed, n in enumerate([2, 5, 9, 16, 32])
+    ],
+    ids=[f"tensor{d}" for d in range(1, 6)]
+    + [f"random{n}" for n in (2, 5, 9, 16, 32)],
+)
+@pytest.mark.parametrize("commuting", [False, True])
+def test_norm_estimate_from_arrays_equals_tuple_sums(matrix, commuting):
+    # Coefficients are half-integers or integers, so both sums are exact.
+    expr = square_bell_operator(matrix)
+    expected = tuple_norm_estimate(expr, commuting)
+    assert norm_estimate(expr, commuting_sites=commuting) == expected
+    if commuting:
+        dropped = expr.assuming_commuting()
+        assert dropped.comm_terms == ()
+        assert norm_estimate(dropped, commuting_sites=True) == expected
 
 
 def test_counting_bound_matches_expansion_at_d2():
@@ -262,6 +297,25 @@ def test_expansion_matches_reference_term_for_term(matrix):
     doc = square_bell_operator(matrix).to_json_dict()
     assert doc == loop_expansion(matrix.entries)
     assert json.dumps(doc) == json.dumps(loop_expansion(matrix.entries))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [tensor_power(3), CoefficientMatrix(np.random.default_rng(9).integers(-1, 2, (9, 9)))],
+    ids=["tensor3", "random9"],
+)
+@pytest.mark.parametrize("commuting", [False, True])
+def test_expand_report_matches_reference(matrix, commuting, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    with open(path, "wb") as handle:
+        save_matrix(matrix, handle)
+    argv = ["expand", "--matrix", str(path)] + (["--commuting"] if commuting else [])
+    assert run(argv) == 0
+    expression = json.loads(capsys.readouterr().out)["results"]["expression"]
+    expected = loop_expansion(matrix.entries)
+    if commuting:
+        expected["commutators"] = []
+    assert expression == expected
 
 
 def test_expression_json_dump():

@@ -55,11 +55,9 @@ from .realize import (
     realize,
 )
 from .search import (
-    ReferenceConstants,
     SearchRecord,
     ratio_search,
     record_from_json,
-    reference_constants,
 )
 
 __all__ = [
@@ -99,8 +97,6 @@ __all__ = [
     "maximally_entangled_state",
     "realization_to_json",
     "SearchRecord",
-    "ReferenceConstants",
     "ratio_search",
-    "reference_constants",
     "record_from_json",
 ]

@@ -1,5 +1,5 @@
 """Hot numeric kernels: the enumeration scan, the alternating Gram-vector
-sweeps, and the eigenvalues of the dual certificate."""
+sweeps batched over restarts, and the eigenvalues of the dual certificate."""
 
 from __future__ import annotations
 
@@ -72,44 +72,55 @@ def gray_signs(index: int, n: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Alternating maximization sweeps over unit Gram vectors.
-# x, y are modified in place; rows with a vanishing update are left unchanged.
-# Returns (objective history, converged).  The history holds the starting
-# objective followed by the objective after every half-sweep.
+# Alternating maximization sweeps over unit Gram vectors, for R restarts at
+# once: x is (R, n, r), y is (R, m, r), and each half-sweep is one stacked
+# A @ y or A.T @ x.  x and y are modified in place; rows with a vanishing
+# update are left unchanged.  Each restart has its own stopping test; a
+# restart that stops is written back and dropped from the active stack, so
+# its history and final vectors are those of a run on its own.  Returns
+# (R objective histories, R converged flags).  A history holds the starting
+# objective followed by the objective after every half-sweep it ran.
 # --------------------------------------------------------------------------
+
+
+def _normalize_rows(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    norms = np.sqrt((g * g).sum(axis=2))
+    np.divide(g, norms[..., None], out=out, where=norms[..., None] > 0.0)
+    return norms.sum(axis=1)
 
 
 def alternating_sweeps(
     A: np.ndarray, x: np.ndarray, y: np.ndarray, max_iters: int, tol: float
-) -> tuple[np.ndarray, bool]:
-    hist = np.empty(2 * max_iters + 1, dtype=np.float64)
-    obj = float(np.sum((A @ y) * x))
-    hist[0] = obj
-    count = 1
-    prev = obj
-    converged = False
+) -> tuple[list[np.ndarray], np.ndarray]:
+    R = x.shape[0]
+    active = np.arange(R)
+    xs, ys = x, y
+    obj = ((A @ y) * x).reshape(R, -1).sum(axis=1)
+    steps = [(active, obj)]
+    length = np.empty(R, dtype=np.int64)
+    converged = np.zeros(R, dtype=bool)
     for _ in range(max_iters):
-        g = A @ y
-        norms = np.sqrt((g * g).sum(axis=1))
-        hit = norms > 0.0
-        x[hit] = g[hit] / norms[hit, None]
-        obj = float(norms.sum())
-        hist[count] = obj
-        count += 1
-
-        h = A.T @ x
-        norms = np.sqrt((h * h).sum(axis=1))
-        hit = norms > 0.0
-        y[hit] = h[hit] / norms[hit, None]
-        obj = float(norms.sum())
-        hist[count] = obj
-        count += 1
-
-        if abs(obj - prev) <= tol * max(1.0, abs(obj)):
-            converged = True
-            break
         prev = obj
-    return hist[:count], converged
+        steps.append((active, _normalize_rows(A @ ys, xs)))
+        obj = _normalize_rows(A.T @ xs, ys)
+        steps.append((active, obj))
+        stop = np.abs(obj - prev) <= tol * np.maximum(1.0, np.abs(obj))
+        if stop.any():
+            done = active[stop]
+            x[done], y[done] = xs[stop], ys[stop]
+            length[done] = len(steps)
+            converged[done] = True
+            keep = ~stop
+            active, xs, ys, obj = active[keep], xs[keep], ys[keep], obj[keep]
+            if active.size == 0:
+                break
+    if active.size:
+        x[active], y[active] = xs, ys
+        length[active] = len(steps)
+    hist = np.empty((R, len(steps)))
+    for k, (rows, vals) in enumerate(steps):
+        hist[rows, k] = vals
+    return [hist[i, : length[i]] for i in range(R)], converged
 
 
 def jacobi_eigenvalues(S: np.ndarray) -> np.ndarray:

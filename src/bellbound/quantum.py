@@ -3,8 +3,9 @@
 The quantum maximum of a correlation inequality equals the maximum of
 sum_kl A[k,l] x_k . y_l over unit vectors x_k, y_l in a Euclidean space of
 dimension min(n, m).  The primal side runs alternating maximization from
-seeded random starts; the dual side certifies an upper bound through the
-positive semidefiniteness of
+seeded random starts, swept together as one stacked array in groups of
+bounded size, each restart stopping on its own test; the dual side
+certifies an upper bound through the positive semidefiniteness of
 
     M = [[diag(u), -A], [-A^T, diag(v)]],
 
@@ -32,6 +33,8 @@ from .matrices import CoefficientMatrix
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-7
+# Restarts sweep together in groups of about this many stacked vector entries.
+_SWEEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -90,15 +93,6 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return vecs / norms
 
 
-def _solve_restart(A, r, child_seed, max_iters, tol):
-    rng = np.random.default_rng(child_seed)
-    n, m = A.shape
-    x = _unit_rows(rng, n, r)
-    y = _unit_rows(rng, m, r)
-    hist, converged = _kernels.alternating_sweeps(A, x, y, max_iters, tol)
-    return x, y, hist, converged
-
-
 def certificate_matrix(matrix: CoefficientMatrix, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     A = matrix.entries
     n, m = A.shape
@@ -123,7 +117,10 @@ def quantum_bound(
     Args:
         matrix: coefficient matrix A.
         restarts: number of independent random starts; the best objective wins,
-            ties broken by the lowest restart index.
+            ties broken by the lowest restart index.  Each start is drawn
+            from its own child seed; the starts are swept together in groups
+            of at most max(1, 2**16 // ((n + m) * gram_dim)), and each stops
+            on its own test, so every restart ends as it would alone.
         max_iters: sweep budget per restart; must be non-negative.
         tol: relative objective-change threshold for convergence; also the
             slack allowed on the primal-dual gap.
@@ -145,13 +142,20 @@ def quantum_bound(
         raise DomainError(f"max_iters must be non-negative, got {max_iters}")
 
     children = np.random.SeedSequence(seed).spawn(restarts)
-    runs = [_solve_restart(A, r, c, max_iters, tol) for c in children]
-
-    best = 0
-    for i in range(1, restarts):
-        if runs[i][2][-1] > runs[best][2][-1]:
-            best = i
-    x, y, hist, run_converged = runs[best]
+    group = max(1, _SWEEP_BLOCK // ((n + m) * r))
+    best_obj = -np.inf
+    for first in range(0, restarts, group):
+        xs, ys = [], []
+        for child in children[first : first + group]:
+            rng = np.random.default_rng(child)
+            xs.append(_unit_rows(rng, n, r))
+            ys.append(_unit_rows(rng, m, r))
+        xs, ys = np.stack(xs), np.stack(ys)
+        hists, run_converged = _kernels.alternating_sweeps(A, xs, ys, max_iters, tol)
+        for i, hist in enumerate(hists):
+            if first + i == 0 or hist[-1] > best_obj:
+                best_obj = hist[-1]
+                x, y, best_hist, converged = xs[i], ys[i], hist, run_converged[i]
 
     objective = _bilinear(A, x, y)
     u = np.linalg.norm(A @ y, axis=1)
@@ -167,8 +171,8 @@ def quantum_bound(
         primal=primal,
         dual=dual,
         gap=gap,
-        converged=bool(run_converged and gap <= tol),
-        objective_history=hist,
+        converged=bool(converged and gap <= tol),
+        objective_history=best_hist,
         restarts=restarts,
     )
 

@@ -81,25 +81,6 @@ def record_from_json(line: str) -> SearchRecord:
         ) from exc
 
 
-@dataclass(frozen=True)
-class ReferenceConstants:
-    """Named constants the search results are usually compared against."""
-
-    grothendieck_upper: float
-    grothendieck_lower: float
-    tsirelson_estimate: tuple[float, float]
-    k20_lower: float
-
-
-def reference_constants() -> ReferenceConstants:
-    return ReferenceConstants(
-        grothendieck_upper=math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0))),
-        grothendieck_lower=math.pi / 2.0,
-        tsirelson_estimate=(1.73, 0.06),
-        k20_lower=10.0 / 7.0,
-    )
-
-
 def _evaluate(entries: np.ndarray, qseed: int) -> tuple[float, float, float]:
     matrix = CoefficientMatrix(entries)
     classical = classical_bound(matrix).bound

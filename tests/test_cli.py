@@ -299,6 +299,13 @@ def test_negative_sweep_budget_exit_code(chsh_file, capsys):
     assert code == 0
 
 
+def test_huge_sweep_budget_exit_code(chsh_file, capsys):
+    # Used to exit 1 with a traceback: the sweeps preallocated 2 * 10**9 floats.
+    code, report = invoke(capsys, ["quantum", "--matrix", chsh_file, "--max-iters", "1000000000"])
+    assert code == 0
+    assert report["results"]["converged"]
+
+
 @pytest.mark.parametrize(
     "line, cause", [("not json", "JSONDecodeError"), ('{"n": 2}', "KeyError")]
 )

@@ -24,6 +24,59 @@ def dense_gray_scan(A):
     return best_val, best_idx
 
 
+def loop_sweeps(A, x, y, max_iters, tol):
+    # The earlier single-restart sweeps, kept as an oracle: x (n, r) and
+    # y (m, r) updated in place, one restart per call.
+    hist = np.empty(2 * max_iters + 1, dtype=np.float64)
+    obj = float(np.sum((A @ y) * x))
+    hist[0] = obj
+    count = 1
+    prev = obj
+    converged = False
+    for _ in range(max_iters):
+        g = A @ y
+        norms = np.sqrt((g * g).sum(axis=1))
+        hit = norms > 0.0
+        x[hit] = g[hit] / norms[hit, None]
+        obj = float(norms.sum())
+        hist[count] = obj
+        count += 1
+
+        h = A.T @ x
+        norms = np.sqrt((h * h).sum(axis=1))
+        hit = norms > 0.0
+        y[hit] = h[hit] / norms[hit, None]
+        obj = float(norms.sum())
+        hist[count] = obj
+        count += 1
+
+        if abs(obj - prev) <= tol * max(1.0, abs(obj)):
+            converged = True
+            break
+        prev = obj
+    return hist[:count], converged
+
+
+def unit_starts(rng, restarts, rows, r):
+    v = rng.standard_normal((restarts, rows, r))
+    return v / np.linalg.norm(v, axis=2, keepdims=True)
+
+
+def assert_matches_loop(A, x, y, max_iters, tol):
+    # Stacked sweeps equal per-restart loops bit for bit: histories,
+    # converged flags and final vectors.
+    xr, yr = x.copy(), y.copy()
+    ref = [loop_sweeps(A, xr[i], yr[i], max_iters, tol) for i in range(len(x))]
+    hists, converged = _kernels.alternating_sweeps(A, x, y, max_iters, tol)
+    assert len(hists) == len(ref) == converged.shape[0]
+    for i, (hist, conv) in enumerate(ref):
+        assert np.array_equal(hists[i], hist)
+        assert converged[i] == conv
+    assert np.array_equal(x, xr)
+    assert np.array_equal(y, yr)
+    return hists, converged
+
+
 def test_gray_signs_reconstruction():
     # index 0 is the all-ones vector; the first component is always +1
     assert np.array_equal(_kernels.gray_signs(0, 4), np.ones(4))
@@ -66,11 +119,49 @@ def test_gray_scan_matches_dense_scan_on_tensor_power():
 
 def test_alternating_sweeps_zero_matrix_converges():
     A = np.zeros((2, 3))
-    x = np.eye(2)
-    y = np.eye(3)[:, :2].copy()
-    hist, converged = _kernels.alternating_sweeps(A, x, y, 10, 1e-9)
-    assert converged
-    assert hist[-1] == 0.0
+    x = np.eye(2)[None].copy()
+    y = np.eye(3)[None, :, :2].copy()
+    hists, converged = _kernels.alternating_sweeps(A, x, y, 10, 1e-9)
+    assert converged.tolist() == [True]
+    assert hists[0][-1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "shape", [(7, 5), (3, 9), (12, 12)], ids=["7x5", "3x9", "12x12"]
+)
+def test_stacked_sweeps_match_loop_on_gaussian(shape):
+    rng = np.random.default_rng(sum(shape))
+    n, m = shape
+    r = min(n, m)
+    A = rng.standard_normal(shape)
+    x, y = unit_starts(rng, 16, n, r), unit_starts(rng, 16, m, r)
+    hists, converged = assert_matches_loop(A, x, y, 10_000, 1e-7)
+    # The restarts stop at different sweeps, so rows leave the stack early.
+    assert len({len(h) for h in hists}) > 1
+    assert converged.all()
+
+
+def test_stacked_sweeps_match_loop_with_vanishing_updates():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((6, 5))
+    A[2] = 0.0
+    A[:, 3] = 0.0
+    x, y = unit_starts(rng, 8, 6, 5), unit_starts(rng, 8, 5, 5)
+    x0, y0 = x.copy(), y.copy()
+    assert_matches_loop(A, x, y, 10_000, 1e-7)
+    # The zero row and column keep their starting vectors.
+    assert np.array_equal(x[:, 2], x0[:, 2])
+    assert np.array_equal(y[:, 3], y0[:, 3])
+
+
+@pytest.mark.parametrize("max_iters, tol", [(10_000, 1e-7), (0, 1e-7), (1, 1e-7), (50, 0.0)])
+@pytest.mark.parametrize("r", [1, 4])
+def test_stacked_sweeps_match_loop_on_budgets(max_iters, tol, r):
+    rng = np.random.default_rng(r)
+    A = rng.standard_normal((5, 4))
+    x, y = unit_starts(rng, 6, 5, r), unit_starts(rng, 6, 4, r)
+    hists, _ = assert_matches_loop(A, x, y, max_iters, tol)
+    assert all(len(h) <= 2 * max_iters + 1 for h in hists)
 
 
 def test_jacobi_trivial_sizes():

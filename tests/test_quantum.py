@@ -15,6 +15,7 @@ from bellbound import (
     tensor_power,
     violation_ratio,
 )
+from bellbound import _kernels, quantum
 from bellbound.errors import DimensionMismatchError, UndefinedRatioError
 from bellbound.quantum import certificate_matrix
 
@@ -142,6 +143,56 @@ def test_zero_matrix_converges_quietly():
 def test_non_convergence_is_flagged_not_raised():
     result = quantum_bound(chsh_matrix(), restarts=1, max_iters=1, tol=1e-15, seed=0)
     assert not result.converged
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.primal.x, b.primal.x)
+    assert np.array_equal(a.primal.y, b.primal.y)
+    assert np.array_equal(a.dual.u, b.dual.u)
+    assert np.array_equal(a.dual.v, b.dual.v)
+    assert np.array_equal(a.objective_history, b.objective_history)
+    assert (a.primal.objective, a.dual.upper_bound, a.dual.min_eigenvalue) == (
+        b.primal.objective,
+        b.dual.upper_bound,
+        b.dual.min_eigenvalue,
+    )
+    assert (a.gap, a.converged, a.restarts) == (b.gap, b.converged, b.restarts)
+
+
+def test_ties_keep_the_first_restart():
+    # On a zero matrix every restart scores 0 and keeps its start, so the
+    # result must carry restart 0's starting vectors.
+    result = quantum_bound(CoefficientMatrix(np.zeros((3, 3))), seed=5)
+    rng = np.random.default_rng(np.random.SeedSequence(5).spawn(16)[0])
+    starts = [rng.standard_normal((3, 3)) for _ in range(2)]
+    x0, y0 = (v / np.linalg.norm(v, axis=1, keepdims=True) for v in starts)
+    assert np.array_equal(result.primal.x, x0)
+    assert np.array_equal(result.primal.y, y0)
+
+
+def test_sweep_budget_is_not_preallocated():
+    # A budget of 10**9 sweeps used to allocate 14.9 GiB of history up front.
+    huge = quantum_bound(chsh_matrix(), max_iters=10**9, seed=0)
+    assert_same_result(huge, quantum_bound(chsh_matrix(), seed=0))
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_restart_groups_do_not_change_the_result(monkeypatch, per_group):
+    matrix = CoefficientMatrix(np.random.default_rng(7).standard_normal((7, 5)))
+    whole = quantum_bound(matrix, seed=11)
+    calls = []
+    sweeps = _kernels.alternating_sweeps
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        return sweeps(*args)
+
+    # Each restart of a 7x5 with gram_dim 5 stacks (7 + 5) * 5 entries.
+    monkeypatch.setattr(quantum, "_SWEEP_BLOCK", 60 * per_group)
+    monkeypatch.setattr(_kernels, "alternating_sweeps", counted)
+    grouped = quantum_bound(matrix, seed=11)
+    assert calls == [min(per_group, 16 - k) for k in range(0, 16, per_group)]
+    assert_same_result(grouped, whole)
 
 
 def test_check_dual_exact_chsh_certificate():

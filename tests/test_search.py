@@ -9,20 +9,9 @@ from bellbound import (
     CoefficientMatrix,
     ratio_search,
     record_from_json,
-    reference_constants,
     tensor_power,
 )
 from bellbound.errors import DimensionMismatchError, DomainError, SizeLimitError
-
-
-def test_reference_constant_values():
-    ref = reference_constants()
-    assert ref.grothendieck_upper == math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
-    assert round(ref.grothendieck_upper, 4) == 1.7822
-    assert 1.782 <= ref.grothendieck_upper <= 1.7823
-    assert ref.grothendieck_lower == math.pi / 2.0
-    assert ref.tsirelson_estimate == (1.73, 0.06)
-    assert ref.k20_lower == pytest.approx(10.0 / 7.0)
 
 
 def test_two_by_two_search_approaches_maximum():

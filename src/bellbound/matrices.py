@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import json
-import math
+import sys
 from dataclasses import dataclass
 from typing import BinaryIO, Optional, Union
 
@@ -40,6 +40,9 @@ class CoefficientMatrix:
             raise MatrixFormatError(
                 f"non-finite entry at row {bad[0] + 1}, column {bad[1] + 1}"
             )
+        with np.errstate(over="ignore"):  # every bound and weight is <= sum |A_kl|
+            if not np.isfinite(np.abs(arr).sum() ** 2):
+                raise MatrixFormatError("entries too large: (sum of |A_kl|)^2 overflows a double")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -136,7 +139,7 @@ def load_matrix(source: ByteSource) -> CoefficientMatrix:
                 raise MatrixFormatError(
                     f"entry at row {i + 1}, column {j + 1} is not a number"
                 )
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # exact for ints such as 10**400
                 raise MatrixFormatError(
                     f"entry at row {i + 1}, column {j + 1} is not finite"
                 )

@@ -4,8 +4,9 @@ The quantum maximum of a correlation inequality equals the maximum of
 sum_kl A[k,l] x_k . y_l over unit vectors x_k, y_l in a Euclidean space of
 dimension min(n, m).  The primal side runs alternating maximization from
 seeded random starts, swept together as one stacked array in groups of
-bounded size, each restart stopping on its own test; the dual side
-certifies an upper bound through the positive semidefiniteness of
+bounded size, each restart stopping on its own test: the stages
+``_seeded_starts`` and ``_best_primal``, all the search loop runs.  The dual
+side of ``quantum_bound`` certifies an upper bound through the PSD-ness of
 
     M = [[diag(u), -A], [-A^T, diag(v)]],
 
@@ -104,6 +105,31 @@ def certificate_matrix(matrix: CoefficientMatrix, u: np.ndarray, v: np.ndarray) 
     return M
 
 
+def _seeded_starts(n: int, m: int, r: int, restarts: int, seed: int):
+    """Yield the stacked (xs, ys) starts of each sweep group, in restart order."""
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    group = max(1, _SWEEP_BLOCK // ((n + m) * r))
+    for first in range(0, restarts, group):
+        xs, ys = [], []
+        for child in children[first : first + group]:
+            rng = np.random.default_rng(child)
+            xs.append(_unit_rows(rng, n, r))
+            ys.append(_unit_rows(rng, m, r))
+        yield np.stack(xs), np.stack(ys)
+
+
+def _best_primal(A: np.ndarray, groups, max_iters: int, tol: float):
+    """Sweep each group of starts in place.  Returns (objective, x, y, history,
+    converged) of the first restart with the highest final objective."""
+    best = None
+    for xs, ys in groups:
+        hists, run_converged = _kernels.alternating_sweeps(A, xs, ys, max_iters, tol)
+        for i, hist in enumerate(hists):
+            if best is None or hist[-1] > best[2][-1]:
+                best = xs[i], ys[i], hist, run_converged[i]
+    return (_bilinear(A, best[0], best[1]),) + best
+
+
 def quantum_bound(
     matrix: CoefficientMatrix,
     restarts: int = DEFAULT_RESTARTS,
@@ -141,23 +167,8 @@ def quantum_bound(
     if max_iters < 0:
         raise DomainError(f"max_iters must be non-negative, got {max_iters}")
 
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    group = max(1, _SWEEP_BLOCK // ((n + m) * r))
-    best_obj = -np.inf
-    for first in range(0, restarts, group):
-        xs, ys = [], []
-        for child in children[first : first + group]:
-            rng = np.random.default_rng(child)
-            xs.append(_unit_rows(rng, n, r))
-            ys.append(_unit_rows(rng, m, r))
-        xs, ys = np.stack(xs), np.stack(ys)
-        hists, run_converged = _kernels.alternating_sweeps(A, xs, ys, max_iters, tol)
-        for i, hist in enumerate(hists):
-            if first + i == 0 or hist[-1] > best_obj:
-                best_obj = hist[-1]
-                x, y, best_hist, converged = xs[i], ys[i], hist, run_converged[i]
-
-    objective = _bilinear(A, x, y)
+    groups = _seeded_starts(n, m, r, restarts, seed)
+    objective, x, y, best_hist, converged = _best_primal(A, groups, max_iters, tol)
     u = np.linalg.norm(A @ y, axis=1)
     v = np.linalg.norm(A.T @ x, axis=1)
     upper = float(u.sum() + v.sum()) / 2.0

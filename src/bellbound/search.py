@@ -8,7 +8,10 @@ small ones polish.  The best matrix is normalized to unit max-entry before
 perturbing (the ratio is scale-invariant) and every tenth climb step moves
 all entries at once.  In-loop quantum bounds use reduced settings and one
 fixed evaluation seed per search, which keeps the acceptance test free of
-solver noise; the returned best record is re-verified at full settings.
+solver noise; their starts are drawn once per search, each evaluation sweeps
+a fresh copy (the sweeps overwrite it), and no in-loop solve builds a
+certificate.  The returned best record is re-verified by a full
+``quantum_bound`` at default settings.
 Every improvement can be appended to a JSON-lines leaderboard.
 """
 
@@ -29,7 +32,7 @@ from .errors import (
     SizeLimitError,
 )
 from .matrices import CoefficientMatrix
-from .quantum import quantum_bound
+from .quantum import _best_primal, _seeded_starts, quantum_bound
 
 MAX_SEARCH_SIZE = 12
 FRESH_SAMPLE_PERIOD = 10
@@ -81,18 +84,13 @@ def record_from_json(line: str) -> SearchRecord:
         ) from exc
 
 
-def _evaluate(entries: np.ndarray, qseed: int) -> tuple[float, float, float]:
+def _evaluate(entries: np.ndarray, starts: list) -> tuple[float, float, float]:
     matrix = CoefficientMatrix(entries)
     classical = classical_bound(matrix).bound
     if classical <= 0.0:
         return -math.inf, classical, 0.0
-    quantum = quantum_bound(
-        matrix,
-        restarts=LOOP_RESTARTS,
-        max_iters=LOOP_MAX_ITERS,
-        tol=LOOP_TOL,
-        seed=qseed,
-    ).primal.objective
+    fresh = [(xs.copy(), ys.copy()) for xs, ys in starts]  # the sweeps write in place
+    quantum = _best_primal(matrix.entries, fresh, LOOP_MAX_ITERS, LOOP_TOL)[0]
     return quantum / classical, classical, quantum
 
 
@@ -127,6 +125,7 @@ def ratio_search(
             )
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    starts = list(_seeded_starts(n, m, min(n, m), LOOP_RESTARTS, seed))
     best: Optional[SearchRecord] = None
 
     def emit(record: SearchRecord) -> None:
@@ -151,7 +150,7 @@ def ratio_search(
                 pos = int(rng.integers(flat.size))
                 flat[pos] += rng.standard_normal() * scale
 
-        ratio, classical, quantum = _evaluate(entries, seed)
+        ratio, classical, quantum = _evaluate(entries, starts)
         if not math.isfinite(ratio):
             continue
         if best is None or ratio > best.ratio:

@@ -333,3 +333,25 @@ def test_module_entry_point(tmp_path):
     report = json.loads(result.stdout)
     assert report["command"] == "estimate"
     assert report["results"]["estimate"] == pytest.approx(1.5811388, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "entries, command",
+    [
+        # 10**400 used to exit 1 with OverflowError from the loader.
+        ("1" + "0" * 400, "classical"),
+        # Finite entries whose sum overflows: classical printed "bound":Infinity
+        # (not JSON) and quantum exited 1 from eigvalsh.
+        ("1e308, 1e308", "classical"),
+        ("1e308, 1e308", "quantum"),
+    ],
+)
+def test_out_of_range_matrix_exit_code(tmp_path, capsys, entries, command):
+    path = tmp_path / "huge.json"
+    cols = entries.count(",") + 1
+    path.write_text(f'{{"rows": 1, "cols": {cols}, "entries": [[{entries}]]}}')
+    code = run([command, "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error" in captured.err

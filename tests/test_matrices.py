@@ -175,3 +175,19 @@ def test_detect_family():
     assert detect_family(CoefficientMatrix(np.ones((2, 2)))) is None
     assert detect_family(CoefficientMatrix(np.ones((3, 3)))) is None
     assert detect_family(CoefficientMatrix(np.ones((2, 4)))) is None
+
+
+def test_load_rejects_integer_beyond_double_range():
+    # Used to exit 1 with OverflowError from math.isfinite.
+    doc = b'{"rows": 1, "cols": 1, "entries": [[1' + b"0" * 400 + b"]]}"
+    with pytest.raises(MatrixFormatError, match="row 1, column 1"):
+        load_matrix(doc)
+
+
+def test_constructor_rejects_sums_that_overflow():
+    # Every entry is finite, but the bounds built from their sum are not.
+    with pytest.raises(MatrixFormatError, match="too large"):
+        CoefficientMatrix(np.array([[1e308, 1e308]]))
+    with pytest.raises(MatrixFormatError, match="too large"):
+        CoefficientMatrix(np.full((2, 2), 1e154))
+    assert CoefficientMatrix(np.full((2, 2), 1e153)).rows == 2

@@ -266,3 +266,28 @@ def test_certificate_round_trip(tmp_path):
     assert np.array_equal(loaded.v, result.dual.v)
     assert loaded.upper_bound == result.dual.upper_bound
     assert check_dual(chsh_matrix(), loaded, tol=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (5, 5), (8, 8), (7, 5)])
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+@pytest.mark.parametrize("restarts, max_iters, tol", [(16, 10_000, 1e-7), (4, 2_000, 1e-5)])
+def test_primal_stage_is_bitwise_quantum_bound_primal(
+    monkeypatch, shape, per_group, restarts, max_iters, tol
+):
+    n, m = shape
+    r = min(n, m)
+    matrix = CoefficientMatrix(np.random.default_rng(10 * n + m).standard_normal(shape))
+    monkeypatch.setattr(quantum, "_SWEEP_BLOCK", (n + m) * r * per_group)
+    result = quantum_bound(matrix, restarts=restarts, max_iters=max_iters, tol=tol, seed=5)
+    groups = list(quantum._seeded_starts(n, m, r, restarts, 5))
+    assert [len(xs) for xs, _ in groups] == [
+        min(per_group, restarts - k) for k in range(0, restarts, per_group)
+    ]
+    objective, x, y, hist, converged = quantum._best_primal(
+        matrix.entries, groups, max_iters, tol
+    )
+    assert objective == result.primal.objective
+    assert np.array_equal(x, result.primal.x)
+    assert np.array_equal(y, result.primal.y)
+    assert np.array_equal(hist, result.objective_history)
+    assert bool(converged and result.gap <= tol) == result.converged

@@ -11,7 +11,10 @@ from bellbound import (
     record_from_json,
     tensor_power,
 )
+from bellbound import _kernels, quantum, search
+from bellbound.classical import classical_bound
 from bellbound.errors import DimensionMismatchError, DomainError, SizeLimitError
+from bellbound.quantum import quantum_bound
 
 
 def test_two_by_two_search_approaches_maximum():
@@ -85,3 +88,76 @@ def test_search_guards():
         ratio_search(2, 2, 0, seed=0)
     with pytest.raises(DimensionMismatchError):
         ratio_search(2, 2, 10, seed=0, include=[tensor_power(2)])
+
+
+def search_ledger(n, m, iterations, seed):
+    sink = io.StringIO()
+    ratio_search(n, m, iterations, seed=seed, record_sink=sink)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("n, iterations", [(2, 200), (5, 100), (8, 60)])
+@pytest.mark.parametrize("seed", [601, 602])
+def test_primal_only_loop_writes_the_quantum_bound_ledger(monkeypatch, n, iterations, seed):
+    primal_only = search_ledger(n, n, iterations, seed)
+
+    def evaluate(entries, starts):
+        # Oracle: every candidate gets a full quantum_bound, certificate included.
+        matrix = CoefficientMatrix(entries)
+        classical = classical_bound(matrix).bound
+        if classical <= 0.0:
+            return -math.inf, classical, 0.0
+        value = quantum_bound(
+            matrix,
+            restarts=search.LOOP_RESTARTS,
+            max_iters=search.LOOP_MAX_ITERS,
+            tol=search.LOOP_TOL,
+            seed=seed,
+        ).primal.objective
+        return value / classical, classical, value
+
+    monkeypatch.setattr(search, "_evaluate", evaluate)
+    assert search_ledger(n, n, iterations, seed) == primal_only
+
+
+def test_search_draws_starts_once_and_runs_no_eigensolver_in_the_loop(monkeypatch):
+    eigensolves, draws, unit_rows, certified = [], [], [], []
+    loop = {"active": False}
+    eigvals, seeded, unit = _kernels.jacobi_eigenvalues, search._seeded_starts, quantum._unit_rows
+    evaluate, certify = search._evaluate, search.quantum_bound
+
+    def count_eigensolves(S):
+        eigensolves.append(loop["active"])
+        return eigvals(S)
+
+    def count_draws(*args):
+        draws.append(args)
+        return seeded(*args)
+
+    def count_unit_rows(*args):
+        unit_rows.append(args)
+        return unit(*args)
+
+    def in_loop(*args):
+        loop["active"] = True
+        try:
+            return evaluate(*args)
+        finally:
+            loop["active"] = False
+
+    def count_certified(*args, **kwargs):
+        certified.append(kwargs)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "jacobi_eigenvalues", count_eigensolves)
+    monkeypatch.setattr(search, "_seeded_starts", count_draws)
+    monkeypatch.setattr(quantum, "_unit_rows", count_unit_rows)
+    monkeypatch.setattr(search, "_evaluate", in_loop)
+    monkeypatch.setattr(search, "quantum_bound", count_certified)
+    ratio_search(5, 5, 100, seed=601)
+    # The one certified solve is the final re-verification, outside the loop.
+    assert certified == [{"seed": 601}]
+    assert eigensolves and not any(eigensolves)
+    assert draws == [(5, 5, 5, search.LOOP_RESTARTS, 601)]
+    # Two draws per restart: the loop's starts once, then the re-verification's.
+    assert len(unit_rows) == 2 * (search.LOOP_RESTARTS + quantum.DEFAULT_RESTARTS)

@@ -11,7 +11,9 @@ entrywise complex conjugate of Y_l on the second site equals x_k . y_l:
     <Phi| X (x) conj(Y) |Phi>  =  Tr(X Y) / D  =  x . y
 
 because Tr(g_a g_b) = D * delta_ab.  The conjugate-second-site convention is
-the single normative convention used throughout.
+the single normative convention used throughout.  r generators fit on
+D = 2^floor(r/2): for odd r = 2k+1 the last one is Z^(x)k (Tsirelson, Lett.
+Math. Phys. 4, 1980).
 
 The state is stored as a D^2-vector psi, never as a density matrix, and no
 D^2 x D^2 operator is built: with Psi = psi reshaped to D x D (first site on
@@ -30,6 +32,7 @@ from .matrices import CoefficientMatrix
 from .quantum import GramSolution
 
 MAX_GENERATORS = 12
+REALIZE_LIMIT = 1 << 19  # stored operator entries (n + m) * D^2
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -38,7 +41,7 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 @dataclass(frozen=True)
 class CliffordBasis:
-    """r pairwise anticommuting Hermitian involutions on dimension 2^ceil(r/2)."""
+    """r pairwise anticommuting Hermitian involutions on dimension 2^floor(r/2)."""
 
     r: int
     dim: int
@@ -73,7 +76,8 @@ def clifford_generators(r: int) -> CliffordBasis:
     """Tensor-ladder construction of r anticommuting involutions.
 
     Generator 2a is Z^a (x) X (x) I..., generator 2a+1 is Z^a (x) Y (x) I...,
-    on q = ceil(r/2) qubit factors.
+    on q = floor(r/2) qubit factors; for odd r the last generator is Z^q,
+    which anticommutes with all the others (Tsirelson 1980).
     """
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
         raise SizeLimitError(f"generator count must be a positive integer, got {r}")
@@ -81,7 +85,7 @@ def clifford_generators(r: int) -> CliffordBasis:
         raise SizeLimitError(
             f"generator count {r} exceeds the cap of {MAX_GENERATORS}"
         )
-    qubits = (r + 1) // 2
+    qubits = r // 2
     dim = 1 << qubits
     gens = np.empty((r, dim, dim), dtype=np.complex128)
     for a in range(r):
@@ -106,7 +110,11 @@ def maximally_entangled_state(dim: int) -> np.ndarray:
 
 
 def realize(matrix: CoefficientMatrix, gram: GramSolution) -> ObservableRealization:
-    """Observables and state whose correlations equal the Gram inner products."""
+    """Observables and state whose correlations equal the Gram inner products.
+
+    Raises SizeLimitError, before any array is built, when the observables
+    would store more than REALIZE_LIMIT entries, (n + m) * D^2.
+    """
     r = gram.dimension
     if r > MAX_GENERATORS:
         raise SizeLimitError(
@@ -115,6 +123,13 @@ def realize(matrix: CoefficientMatrix, gram: GramSolution) -> ObservableRealizat
     if gram.x.shape[0] != matrix.rows or gram.y.shape[0] != matrix.cols:
         raise DimensionMismatchError(
             "gram solution does not match the coefficient matrix dimensions"
+        )
+    dim = 1 << (r // 2)
+    entries = (matrix.rows + matrix.cols) * dim * dim
+    if entries > REALIZE_LIMIT:
+        raise SizeLimitError(
+            f"{matrix.rows}+{matrix.cols} observables of dimension {dim} need "
+            f"{entries} entries, more than the {REALIZE_LIMIT}-entry limit"
         )
     for name, vecs in (("x", gram.x), ("y", gram.y)):
         norms = np.linalg.norm(vecs, axis=1)

@@ -174,6 +174,40 @@ def test_realize_subcommand(chsh_file, tmp_path, capsys):
     assert dump["sites"] == {"x": 2, "y": 2}
 
 
+def test_realize_odd_rank_gaussian(tmp_path, capsys):
+    # Gram rank 9 fits on four qubits: the ladder closes with Z^(x)4.
+    path = str(tmp_path / "gauss9.json")
+    entries = np.random.default_rng(9).standard_normal((9, 9))
+    with open(path, "wb") as handle:
+        save_matrix(CoefficientMatrix(entries), handle)
+    out = str(tmp_path / "real.json")
+    code, report = invoke(
+        capsys, ["realize", "--matrix", path, "--seed", "0", "--out", out]
+    )
+    assert code == 0
+    results = report["results"]
+    assert results["hilbert_dimension"] == 16
+    assert results["value_error"] <= 1e-9
+    assert results["max_correlation_error"] <= 1e-10
+    with open(out, encoding="utf-8") as handle:
+        assert json.load(handle)["hilbert_dimension"] == 16
+
+
+def test_realize_size_guard_exit_code(tmp_path, capsys):
+    # 1000 + 12 observables at D = 64 used to write a 62.5 MB file.
+    path = str(tmp_path / "tall.json")
+    entries = np.random.default_rng(0).standard_normal((1000, 12))
+    with open(path, "wb") as handle:
+        save_matrix(CoefficientMatrix(entries), handle)
+    out = tmp_path / "real.json"
+    code = run(["realize", "--matrix", path, "--seed", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "limit" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family", ["chsh", "gauss8"])
 def test_realize_out_matches_json_dump(family, chsh_file, tmp_path, capsys):
     # realize --out writes with json.dumps; the bytes must equal json.dump's.

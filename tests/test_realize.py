@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -32,8 +33,8 @@ def assert_involution(op, tol=1e-12):
 
 def test_single_generator():
     basis = clifford_generators(1)
-    assert basis.dim == 2
-    assert_involution(basis.generators[0])
+    assert basis.dim == 1
+    assert np.array_equal(basis.generators, np.ones((1, 1, 1)))
 
 
 def test_two_generators_anticommute():
@@ -45,7 +46,7 @@ def test_two_generators_anticommute():
 
 def test_five_generators_all_pairs_anticommute():
     basis = clifford_generators(5)
-    assert basis.dim == 8
+    assert basis.dim == 4
     for a, b in itertools.combinations(range(5), 2):
         ga, gb = basis.generators[a], basis.generators[b]
         assert np.abs(ga @ gb + gb @ ga).max() <= 1e-12
@@ -61,6 +62,48 @@ def test_generator_trace_orthogonality(r):
             tr = np.trace(basis.generators[a] @ basis.generators[b])
             expected = basis.dim if a == b else 0.0
             assert abs(tr - expected) <= 1e-12
+
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+
+def ceil_ladder(r):
+    """The earlier ladder on ceil(r/2) qubits: Z^a (x) X|Y (x) I..."""
+    qubits = (r + 1) // 2
+    gens = []
+    for a in range(r):
+        factors = [PAULI_Z] * (a // 2) + [PAULI_X if a % 2 == 0 else PAULI_Y]
+        factors += [np.eye(2)] * (qubits - len(factors))
+        op = np.eye(1, dtype=np.complex128)
+        for factor in factors:
+            op = np.kron(op, factor)
+        gens.append(op)
+    return np.array(gens).reshape(r, 1 << qubits, 1 << qubits)
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_ladder_on_floor_half_qubits(r):
+    basis = clifford_generators(r)
+    assert basis.dim == 2 ** (r // 2)
+    assert basis.generators.shape == (r, basis.dim, basis.dim)
+    eye = np.eye(basis.dim)
+    for g in basis.generators:
+        assert np.array_equal(g, g.conj().T)
+        assert np.array_equal(g @ g, eye)
+    for a, b in itertools.combinations(range(r), 2):
+        ga, gb = basis.generators[a], basis.generators[b]
+        assert np.array_equal(ga @ gb + gb @ ga, np.zeros_like(ga))
+        assert np.trace(ga @ gb) == 0.0
+    if r % 2 == 0:
+        assert np.array_equal(basis.generators, ceil_ladder(r))
+    else:
+        closing = np.eye(1, dtype=np.complex128)
+        for _ in range(r // 2):
+            closing = np.kron(closing, PAULI_Z)
+        assert np.array_equal(basis.generators[-1], closing)
+        assert np.array_equal(basis.generators[:-1], ceil_ladder(r - 1))
 
 
 def test_generator_count_guards():
@@ -100,12 +143,16 @@ def kron_correlations(realization):
         chsh_matrix(),
         tensor_power(2),
         CoefficientMatrix(np.random.default_rng(5).standard_normal((5, 5))),
+        CoefficientMatrix(np.random.default_rng(3).standard_normal((3, 3))),
+        CoefficientMatrix(np.random.default_rng(7).standard_normal((7, 7))),
+        CoefficientMatrix(np.random.default_rng(1).standard_normal((3, 1))),
     ],
-    ids=["chsh", "tensor2", "gauss5x5"],
+    ids=["chsh", "tensor2", "gauss5x5", "gauss3x3", "gauss7x7", "gauss3x1"],
 )
 def test_correlations_match_dense_kronecker_oracle(matrix):
     realization = realize(matrix, quantum_bound(matrix, seed=0).primal)
-    assert realization.dim <= 8
+    r = min(matrix.rows, matrix.cols)
+    assert realization.dim == 2 ** (r // 2) <= 8
     expected = kron_correlations(realization)
     assert np.abs(correlation_matrix(realization) - expected).max() <= 1e-12
     value = float((matrix.entries * expected).sum())
@@ -229,3 +276,53 @@ def test_realization_json_round_trip_values():
     assert np.array_equal(rebuilt, realization.x_observables)
     state = np.array(doc["state"])
     assert state.shape == (4, 2)
+
+
+def unit_gram(n, m, r, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, r))
+    y = rng.standard_normal((m, r))
+    return GramSolution(
+        x=x / np.linalg.norm(x, axis=1, keepdims=True),
+        y=y / np.linalg.norm(y, axis=1, keepdims=True),
+        objective=0.0,
+    )
+
+
+def test_size_guard_accepts_the_limit():
+    # (116 + 12) observables of dimension 64 store exactly 2^19 entries.
+    realize_module = importlib.import_module("bellbound.realize")
+    assert (116 + 12) * 64 * 64 == realize_module.REALIZE_LIMIT
+    matrix = CoefficientMatrix(np.zeros((116, 12)))
+    realization = realize(matrix, unit_gram(116, 12, 12))
+    assert realization.x_observables.shape == (116, 64, 64)
+    assert realization.y_observables.shape == (12, 64, 64)
+
+
+def test_size_guard_rejects_one_entry_past_the_limit(monkeypatch):
+    realize_module = importlib.import_module("bellbound.realize")
+    matrix = CoefficientMatrix(np.zeros((9, 9)))
+    gram = unit_gram(9, 9, 9)
+    monkeypatch.setattr(realize_module, "REALIZE_LIMIT", (9 + 9) * 16 * 16)
+    assert realize(matrix, gram).dim == 16
+    monkeypatch.setattr(realize_module, "REALIZE_LIMIT", (9 + 9) * 16 * 16 - 1)
+    with pytest.raises(SizeLimitError, match="4608 entries"):
+        realize(matrix, gram)
+    with pytest.raises(SizeLimitError):
+        realize(CoefficientMatrix(np.zeros((117, 12))), unit_gram(117, 12, 12))
+
+
+def test_size_guard_refuses_before_building_arrays(monkeypatch):
+    # A 1000 x 12 Gaussian once realized at D = 64: 4.2 s of CPU, 833 MB peak
+    # and a 62.5 MB file.  It must now be refused before any operator exists.
+    realize_module = importlib.import_module("bellbound.realize")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("arrays built before the size guard")
+
+    matrix = CoefficientMatrix(np.random.default_rng(0).standard_normal((1000, 12)))
+    gram = unit_gram(1000, 12, 12)
+    monkeypatch.setattr(realize_module, "clifford_generators", unreachable)
+    monkeypatch.setattr(realize_module.np, "tensordot", unreachable)
+    with pytest.raises(SizeLimitError, match="4145152 entries"):
+        realize(matrix, gram)

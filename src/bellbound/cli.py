@@ -46,6 +46,10 @@ DOMAIN_ERROR = 3
 NOT_CONVERGED = 4
 
 SQRT2 = math.sqrt(2.0)
+# Stands in for JSON text spliced into a report after encoding.  An echoed
+# input may contain it, but the inputs come before the results and no user
+# text comes after them, so its last occurrence is the one in the results.
+_SPLICE = "@expression@"
 
 
 def _comparison(label: str, reference: float, computed: float) -> dict:
@@ -71,8 +75,16 @@ def _report(command: str, inputs: dict, results: dict, comparisons=None) -> dict
     return report
 
 
-def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, separators=(",", ":")) + "\n")
+def _emit(report: dict, splice: Optional[str] = None) -> None:
+    text = json.dumps(report, separators=(",", ":"))
+    if splice is not None:
+        # Written in pieces: the spliced text can run to megabytes.
+        marker = json.dumps(_SPLICE)
+        at = text.rindex(marker)
+        sys.stdout.write(text[:at])
+        sys.stdout.write(splice)
+        text = text[at + len(marker):]
+    sys.stdout.write(text + "\n")
 
 
 def _load_matrix_file(path: str) -> CoefficientMatrix:
@@ -186,7 +198,7 @@ def _cmd_expand(args) -> int:
     shown = expr.assuming_commuting() if args.commuting else expr
     bound = norm_estimate(expr, commuting_sites=args.commuting)
     results = {
-        "expression": shown.to_json_dict(),
+        "expression": _SPLICE,
         "norm_bound": bound,
         "commuting_sites": args.commuting,
     }
@@ -211,7 +223,7 @@ def _cmd_expand(args) -> int:
                 )
             )
     inputs = {"matrix": args.matrix, "commuting": args.commuting}
-    _emit(_report("expand", inputs, results, comparisons))
+    _emit(_report("expand", inputs, results, comparisons), splice=shown.to_json())
     return 0
 
 

@@ -16,8 +16,10 @@ from bellbound import (
     realization_to_json,
     realize,
     save_matrix,
+    square_bell_operator,
     tensor_power,
 )
+from bellbound import cli
 from bellbound.cli import run
 
 REPORT_KEYS = {"command", "version", "backend", "inputs", "results"}
@@ -130,6 +132,23 @@ def test_expand_commuting_drops_commutators(tensor_file, capsys):
     assert len(report["results"]["expression"]["anticommutators"]) == 12
 
 
+@pytest.mark.parametrize("name", [cli._SPLICE, f'x{cli._SPLICE}"\u00e9.json'],
+                         ids=["marker", "marker-quote-accent"])
+def test_expand_splice_survives_a_path_holding_the_marker(
+    name, tmp_path, monkeypatch, capsys
+):
+    # The echoed path holds the placeholder's text (as a whole JSON string in
+    # the first case); only the placeholder in the results is replaced.
+    monkeypatch.chdir(tmp_path)
+    with open(name, "wb") as handle:
+        save_matrix(tensor_power(2), handle)
+    code, report = invoke(capsys, ["expand", "--matrix", name, "--commuting"])
+    assert code == 0
+    assert report["inputs"]["matrix"] == name
+    expected = square_bell_operator(tensor_power(2)).assuming_commuting()
+    assert report["results"]["expression"] == expected.to_json_dict()
+
+
 def test_estimate_normalized(capsys):
     code, report = invoke(capsys, ["estimate", "--d", "2", "--normalized"])
     assert code == 0
@@ -201,6 +220,28 @@ def test_realize_size_guard_exit_code(tmp_path, capsys):
         save_matrix(CoefficientMatrix(entries), handle)
     out = tmp_path / "real.json"
     code = run(["realize", "--matrix", path, "--seed", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "limit" in captured.err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tall_file(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("tall") / "tall.json")
+    entries = np.random.default_rng(0).standard_normal((524287, 1))
+    with open(path, "wb") as handle:
+        save_matrix(CoefficientMatrix(entries), handle)
+    return path
+
+
+@pytest.mark.parametrize("command", ["quantum", "realize"])
+def test_quantum_size_guard_exit_code(command, tall_file, tmp_path, capsys):
+    # A Gaussian 524287 x 1 once died asking for a 2 TiB certificate matrix.
+    out = tmp_path / "real.json"
+    argv = [command, "--matrix", tall_file]
+    code = run(argv + (["--out", str(out)] if command == "realize" else []))
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

@@ -318,6 +318,57 @@ def test_expand_report_matches_reference(matrix, commuting, tmp_path, capsys):
     assert expression == expected
 
 
+def nested_list_json(expr):
+    """Reference encoder: nested [[i,k],[j,l],c] lists through json.dumps."""
+    pairs = [[i, k] for i, k in zip(*(index.tolist() for index in expr.pairs))]
+
+    def terms(coeffs, rows):
+        p, q = np.nonzero(coeffs)
+        return [[rows[i], pairs[j], c] for i, j, c in
+                zip(p.tolist(), q.tolist(), coeffs[p, q].tolist())]
+
+    doc = {
+        "identity": expr.identity_coeff,
+        "commutators": terms(expr.comm, pairs),
+        "anticommutators": terms(expr.acomm, pairs),
+        "residual": terms(expr.residual, ["x", "y"]),
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [tensor_power(d) for d in range(1, 6)]
+    + [
+        CoefficientMatrix(np.random.default_rng(seed).integers(-1, 2, (n, n)))
+        for seed, n in enumerate([1, 2, 3, 7, 16, 32])
+    ]
+    + [CoefficientMatrix(np.zeros((3, 3))), CoefficientMatrix(np.eye(4))],
+    ids=[f"tensor{d}" for d in range(1, 6)]
+    + [f"random{n}" for n in (1, 2, 3, 7, 16, 32)]
+    + ["zero3", "eye4"],
+)
+@pytest.mark.parametrize("commuting", [False, True])
+def test_to_json_is_byte_identical_to_nested_list_encoder(matrix, commuting):
+    expr = square_bell_operator(matrix)
+    if commuting:
+        expr = expr.assuming_commuting()
+    assert expr.to_json() == nested_list_json(expr)
+
+
+def test_to_json_covers_every_term_kind():
+    # The random and zero cases above reach residuals, half-integer
+    # coefficients and empty lists; pin that they do.
+    random7 = square_bell_operator(
+        CoefficientMatrix(np.random.default_rng(3).integers(-1, 2, (7, 7)))
+    ).to_json_dict()
+    assert random7["residual"]
+    assert 0.5 in {abs(c) for _, _, c in random7["anticommutators"]}
+    zero = json.loads(square_bell_operator(CoefficientMatrix(np.zeros((3, 3)))).to_json())
+    assert zero == {"identity": 0.0, "commutators": [], "anticommutators": [],
+                    "residual": []}
+
+
 def test_expression_json_dump():
     doc = square_bell_operator(chsh_matrix()).to_json_dict()
     assert doc["identity"] == 4.0

@@ -16,7 +16,11 @@ from bellbound import (
     violation_ratio,
 )
 from bellbound import _kernels, quantum
-from bellbound.errors import DimensionMismatchError, UndefinedRatioError
+from bellbound.errors import (
+    DimensionMismatchError,
+    SizeLimitError,
+    UndefinedRatioError,
+)
 from bellbound.quantum import certificate_matrix
 
 SQRT2 = math.sqrt(2.0)
@@ -193,6 +197,39 @@ def test_restart_groups_do_not_change_the_result(monkeypatch, per_group):
     grouped = quantum_bound(matrix, seed=11)
     assert calls == [min(per_group, 16 - k) for k in range(0, 16, per_group)]
     assert_same_result(grouped, whole)
+
+
+def test_size_guard_accepts_the_limit_and_refuses_one_past(monkeypatch):
+    assert 2048 * 2048 == quantum.CERTIFICATE_LIMIT
+    cert = quantum_bound(chsh_matrix(), seed=0).dual
+    monkeypatch.setattr(quantum, "CERTIFICATE_LIMIT", 4 * 4)
+    assert quantum_bound(chsh_matrix(), seed=0).converged
+    assert check_dual(chsh_matrix(), cert)
+    monkeypatch.setattr(quantum, "CERTIFICATE_LIMIT", 4 * 4 - 1)
+    with pytest.raises(SizeLimitError, match="4x4 certificate"):
+        quantum_bound(chsh_matrix(), seed=0)
+    with pytest.raises(SizeLimitError, match="15-entry limit"):
+        check_dual(chsh_matrix(), cert)
+
+
+def test_size_guard_refuses_before_sweeping(monkeypatch):
+    # A 524287 x 1 matrix once asked for a 2 TiB certificate matrix.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work done before the size guard")
+
+    monkeypatch.setattr(_kernels, "alternating_sweeps", unreachable)
+    monkeypatch.setattr(quantum, "certificate_matrix", unreachable)
+    tall = CoefficientMatrix(np.zeros((524287, 1)))
+    with pytest.raises(SizeLimitError, match="524288x524288"):
+        quantum_bound(tall)
+    cert = DualCertificate(
+        u=np.zeros(524287), v=np.zeros(1), upper_bound=0.0, min_eigenvalue=0.0
+    )
+    with pytest.raises(SizeLimitError):
+        check_dual(tall, cert)
+    # The largest order accepted: 2047 + 1 observables.
+    with pytest.raises(AssertionError, match="before the size guard"):
+        quantum_bound(CoefficientMatrix(np.zeros((2047, 1))))
 
 
 def test_check_dual_exact_chsh_certificate():

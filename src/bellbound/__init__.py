@@ -22,7 +22,6 @@ from .matrices import (
     chsh_matrix,
     detect_family,
     load_matrix,
-    matrix_to_bytes,
     save_matrix,
     tensor_power,
 )
@@ -31,7 +30,6 @@ from .operators import (
     closed_form_bound,
     norm_estimate,
     normalized_violation_estimate,
-    numeric_check,
     square_bell_operator,
 )
 from .quantum import (
@@ -45,7 +43,6 @@ from .quantum import (
     violation_ratio,
 )
 from .realize import (
-    CliffordBasis,
     ObservableRealization,
     bell_value,
     clifford_generators,
@@ -68,7 +65,6 @@ __all__ = [
     "tensor_power",
     "load_matrix",
     "save_matrix",
-    "matrix_to_bytes",
     "detect_family",
     "SignAssignment",
     "ClassicalBoundResult",
@@ -84,11 +80,9 @@ __all__ = [
     "load_certificate",
     "OperatorExpression",
     "square_bell_operator",
-    "numeric_check",
     "norm_estimate",
     "closed_form_bound",
     "normalized_violation_estimate",
-    "CliffordBasis",
     "ObservableRealization",
     "clifford_generators",
     "realize",

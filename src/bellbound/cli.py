@@ -1,10 +1,10 @@
 """Command-line frontend with reproducible JSON reports.
 
 Every subcommand prints one compact single-line JSON report to standard
-output carrying the command name, the tool version, an echo of the inputs
-(always including the seed), the results, and, for the built-in matrix
-families, a comparison table of reference values against computed ones.
-Diagnostics go to standard error.
+output carrying the command name, the tool version, every parsed argument
+as an input (always including the seed), the results, and, for the built-in
+matrix families and estimate, the paper's numbers from REFERENCES next to
+the computed ones.  Diagnostics go to standard error.
 
 Exit codes: 0 success, 2 usage error, 3 size-guard/domain/format error,
 4 non-convergence under --strict.
@@ -45,31 +45,69 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 NOT_CONVERGED = 4
 
-SQRT2 = math.sqrt(2.0)
 # Stands in for JSON text spliced into a report after encoding.  An echoed
 # input may contain it, but the inputs come before the results and no user
 # text comes after them, so its last occurrence is the one in the results.
 _SPLICE = "@expression@"
 
+# The paper's numbers, shown next to computed ones as (command,
+# applies(d, args), label, value(d, args)) rows, in report order.  d is the
+# tensor-power order of the input matrix (1 for CHSH) or estimate's --d.
+# 2^(3d/2) is exact for Q, since H H^T = 2^d I, but only a Cauchy-Schwarz
+# upper bound for L: L(H_8) = 20.
+REFERENCES = (
+    ("classical", lambda d, a: d == 1, "CHSH local bound 2", lambda d, a: 2.0),
+    ("classical", lambda d, a: d >= 2,
+     "Cauchy-Schwarz bound 2^(3d/2), attained for even d only",
+     lambda d, a: 2.0 ** (1.5 * d)),
+    ("quantum", lambda d, a: d >= 2,
+     "counting-model upper estimate 2^d*sqrt(3*2^d-2)",
+     lambda d, a: closed_form_bound(d, commuting_sites=False)),
+    ("quantum", lambda d, a: True, "quantum maximum 2^(3d/2), as H H^T = 2^d I",
+     lambda d, a: 2.0 ** (1.5 * d)),
+    ("expand", lambda d, a: d == 1 and a.commuting,
+     "two-observable classical limit", lambda d, a: 2.0),
+    ("expand", lambda d, a: d == 1 and not a.commuting,
+     "two-observable quantum maximum 2*sqrt(2)", lambda d, a: 2.0 * math.sqrt(2.0)),
+    ("expand", lambda d, a: d >= 2,
+     "counting-model bound for the tensor-power family",
+     lambda d, a: closed_form_bound(d, commuting_sites=a.commuting)),
+    ("estimate", lambda d, a: a.normalized and d == 2,
+     "reported four-observable violation estimate", lambda d, a: 1.58),
+    ("estimate", lambda d, a: a.normalized,
+     "large-d limit sqrt(3)", lambda d, a: math.sqrt(3.0)),
+    ("estimate", lambda d, a: not a.normalized and d == 2 and a.commuting,
+     "four-observable commuting bound", lambda d, a: 8.0),
+    ("estimate", lambda d, a: not a.normalized and d == 2 and not a.commuting,
+     "four-observable operator bound 4*sqrt(10)",
+     lambda d, a: 4.0 * math.sqrt(10.0)),
+)
 
-def _comparison(label: str, reference: float, computed: float) -> dict:
-    return {
-        "label": label,
-        "reference": reference,
-        "computed": computed,
-        "abs_difference": abs(reference - computed),
-    }
 
-
-def _report(command: str, inputs: dict, results: dict, comparisons=None) -> dict:
+def _report(
+    args, results: dict, d: Optional[int] = None, computed: float = 0.0
+) -> dict:
+    """The report of a parsed command: every parsed argument echoed as an
+    input (the seed always), the results, and the REFERENCES rows that apply
+    to order d."""
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     inputs.setdefault("seed", None)
     report = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "backend": "numpy",
         "inputs": inputs,
         "results": results,
     }
+    comparisons = []
+    for command, applies, label, value in REFERENCES:
+        if command == args.command and d is not None and applies(d, args):
+            reference = value(d, args)
+            comparisons.append({
+                "label": label,
+                "reference": reference,
+                "computed": computed,
+                "abs_difference": abs(reference - computed),
+            })
     if comparisons:
         report["reference_comparison"] = comparisons
     return report
@@ -92,6 +130,12 @@ def _load_matrix_file(path: str) -> CoefficientMatrix:
         return load_matrix(handle)
 
 
+def _order(matrix: CoefficientMatrix) -> Optional[int]:
+    """The tensor-power order of a built-in matrix, else None."""
+    family = detect_family(matrix)
+    return None if family is None else family[1]
+
+
 def _cmd_generate(args) -> int:
     if args.family == "chsh":
         matrix = chsh_matrix()
@@ -100,8 +144,7 @@ def _cmd_generate(args) -> int:
     with open(args.out, "wb") as handle:
         save_matrix(matrix, handle)
     results = {"rows": matrix.rows, "cols": matrix.cols, "path": args.out}
-    inputs = {"family": args.family, "d": args.d, "out": args.out}
-    _emit(_report("generate", inputs, results))
+    _emit(_report(args, results))
     return 0
 
 
@@ -116,32 +159,18 @@ def _cmd_classical(args) -> int:
             "value": result.witness.value,
         },
     }
-    comparisons = []
-    family = detect_family(matrix)
-    if family is not None:
-        _, d = family
-        comparisons.append(
-            _comparison(
-                "assumed classical maximum 2^(3d/2) in the counting model",
-                2.0 ** (1.5 * d),
-                result.bound,
-            )
-        )
-    inputs = {"matrix": args.matrix}
-    _emit(_report("classical", inputs, results, comparisons))
+    _emit(_report(args, results, _order(matrix), result.bound))
     return 0
 
 
 def _cmd_quantum(args) -> int:
     matrix = _load_matrix_file(args.matrix)
-    gram_dim = matrix.rows + matrix.cols if args.full_dim else None
     result = quantum_bound(
         matrix,
         restarts=args.restarts,
         max_iters=args.max_iters,
         tol=args.tol,
         seed=args.seed,
-        gram_dim=gram_dim,
     )
     if args.cert_out:
         with open(args.cert_out, "wb") as handle:
@@ -157,35 +186,7 @@ def _cmd_quantum(args) -> int:
     }
     if args.cert_out:
         results["certificate_path"] = args.cert_out
-    comparisons = []
-    family = detect_family(matrix)
-    if family is not None:
-        _, d = family
-        if d == 1:
-            comparisons.append(
-                _comparison(
-                    "two-observable quantum maximum 2*sqrt(2)",
-                    2.0 * SQRT2,
-                    result.primal.objective,
-                )
-            )
-        else:
-            comparisons.append(
-                _comparison(
-                    "counting-model upper estimate 2^d*sqrt(3*2^d-2)",
-                    closed_form_bound(d, commuting_sites=False),
-                    result.primal.objective,
-                )
-            )
-    inputs = {
-        "matrix": args.matrix,
-        "restarts": args.restarts,
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "seed": args.seed,
-        "full_dim": args.full_dim,
-    }
-    _emit(_report("quantum", inputs, results, comparisons))
+    _emit(_report(args, results, _order(matrix), result.primal.objective))
     if args.strict and not result.converged:
         print("quantum bound did not converge", file=sys.stderr)
         return NOT_CONVERGED
@@ -202,45 +203,15 @@ def _cmd_expand(args) -> int:
         "norm_bound": bound,
         "commuting_sites": args.commuting,
     }
-    comparisons = []
-    family = detect_family(matrix)
-    if family is not None:
-        _, d = family
-        if d == 1:
-            reference = 2.0 if args.commuting else 2.0 * SQRT2
-            label = (
-                "two-observable classical limit"
-                if args.commuting
-                else "two-observable quantum maximum 2*sqrt(2)"
-            )
-            comparisons.append(_comparison(label, reference, bound))
-        else:
-            comparisons.append(
-                _comparison(
-                    "counting-model bound for the tensor-power family",
-                    closed_form_bound(d, commuting_sites=args.commuting),
-                    bound,
-                )
-            )
-    inputs = {"matrix": args.matrix, "commuting": args.commuting}
-    _emit(_report("expand", inputs, results, comparisons), splice=shown.to_json())
+    report = _report(args, results, _order(matrix), bound)
+    _emit(report, splice=shown.to_json())
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    comparisons = []
     if args.normalized:
         value = normalized_violation_estimate(args.d)
         results = {"d": args.d, "normalized": True, "estimate": value}
-        if args.d == 2:
-            comparisons.append(
-                _comparison(
-                    "reported four-observable violation estimate", 1.58, value
-                )
-            )
-        comparisons.append(
-            _comparison("large-d limit sqrt(3)", math.sqrt(3.0), value)
-        )
     else:
         value = closed_form_bound(args.d, commuting_sites=args.commuting)
         results = {
@@ -249,16 +220,7 @@ def _cmd_estimate(args) -> int:
             "normalized": False,
             "bound": value,
         }
-        if args.d == 2:
-            reference = 8.0 if args.commuting else 4.0 * math.sqrt(10.0)
-            label = (
-                "four-observable commuting bound"
-                if args.commuting
-                else "four-observable operator bound 4*sqrt(10)"
-            )
-            comparisons.append(_comparison(label, reference, value))
-    inputs = {"d": args.d, "commuting": args.commuting, "normalized": args.normalized}
-    _emit(_report("estimate", inputs, results, comparisons))
+    _emit(_report(args, results, args.d, value))
     return 0
 
 
@@ -281,8 +243,7 @@ def _cmd_realize(args) -> int:
         "hilbert_dimension": realization.dim,
         "path": args.out,
     }
-    inputs = {"matrix": args.matrix, "seed": args.seed, "out": args.out}
-    _emit(_report("realize", inputs, results))
+    _emit(_report(args, results))
     if args.strict and not bound.converged:
         print("quantum bound did not converge", file=sys.stderr)
         return NOT_CONVERGED
@@ -301,14 +262,7 @@ def _cmd_search(args) -> int:
     results = {"best": best.to_json_dict()}
     if args.ledger:
         results["ledger"] = args.ledger
-    inputs = {
-        "n": args.n,
-        "m": args.m,
-        "iters": args.iters,
-        "seed": args.seed,
-        "ledger": args.ledger,
-    }
-    _emit(_report("search", inputs, results))
+    _emit(_report(args, results))
     return 0
 
 
@@ -319,10 +273,7 @@ def _cmd_report(args) -> int:
             line = line.strip()
             if line:
                 records.append(record_from_json(line))
-    best: Optional[dict] = None
-    if records:
-        top = max(records, key=lambda rec: rec.ratio)
-        best = top.to_json_dict()
+    best = max(records, key=lambda rec: rec.ratio).to_json_dict() if records else None
     summary = [
         {
             "n": rec.matrix.rows,
@@ -336,8 +287,7 @@ def _cmd_report(args) -> int:
         for rec in records
     ]
     results = {"count": len(records), "best": best, "records": summary}
-    inputs = {"ledger": args.ledger}
-    _emit(_report("report", inputs, results))
+    _emit(_report(args, results))
     return 0
 
 
@@ -364,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--full-dim", action="store_true",
-                   help="use gram dimension n+m instead of min(n,m)")
     p.add_argument("--cert-out", help="write the dual certificate to a file")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when the bound does not converge")
@@ -411,10 +359,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BellboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
-    except OSError as exc:
+    except (BellboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
 

@@ -8,7 +8,6 @@ columns are pairwise orthogonal with all entries +-1.
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -53,12 +52,6 @@ class CoefficientMatrix:
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
-
-    def transposed(self) -> "CoefficientMatrix":
-        return CoefficientMatrix(self.entries.T)
-
-    def scaled(self, factor: float) -> "CoefficientMatrix":
-        return CoefficientMatrix(self.entries * float(factor))
 
     def __repr__(self) -> str:
         return f"CoefficientMatrix({self.rows}x{self.cols})"
@@ -155,12 +148,6 @@ def save_matrix(matrix: CoefficientMatrix, sink: BinaryIO) -> None:
         "entries": [[float(v) for v in row] for row in matrix.entries],
     }
     sink.write(json.dumps(doc).encode("utf-8"))
-
-
-def matrix_to_bytes(matrix: CoefficientMatrix) -> bytes:
-    buf = io.BytesIO()
-    save_matrix(matrix, buf)
-    return buf.getvalue()
 
 
 def detect_family(matrix: CoefficientMatrix) -> Optional[tuple[str, int]]:

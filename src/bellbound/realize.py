@@ -40,20 +40,6 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
-class CliffordBasis:
-    """r pairwise anticommuting Hermitian involutions on dimension 2^floor(r/2)."""
-
-    r: int
-    dim: int
-    generators: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.generators, dtype=np.complex128)
-        arr.setflags(write=False)
-        object.__setattr__(self, "generators", arr)
-
-
-@dataclass(frozen=True)
 class ObservableRealization:
     """Explicit observables plus a bipartite state vector of length D^2."""
 
@@ -72,8 +58,9 @@ class ObservableRealization:
         return self.x_observables.shape[1]
 
 
-def clifford_generators(r: int) -> CliffordBasis:
-    """Tensor-ladder construction of r anticommuting involutions.
+def clifford_generators(r: int) -> np.ndarray:
+    """Tensor-ladder construction of r anticommuting Hermitian involutions,
+    returned as a read-only (r, D, D) array with D = 2^floor(r/2).
 
     Generator 2a is Z^a (x) X (x) I..., generator 2a+1 is Z^a (x) Y (x) I...,
     on q = floor(r/2) qubit factors; for odd r the last generator is Z^q,
@@ -101,7 +88,8 @@ def clifford_generators(r: int) -> CliffordBasis:
                 factor = np.eye(2, dtype=np.complex128)
             op = np.kron(op, factor)
         gens[a] = op
-    return CliffordBasis(r=r, dim=dim, generators=gens)
+    gens.setflags(write=False)
+    return gens
 
 
 def maximally_entangled_state(dim: int) -> np.ndarray:
@@ -136,10 +124,10 @@ def realize(matrix: CoefficientMatrix, gram: GramSolution) -> ObservableRealizat
         if np.abs(norms - 1.0).max() > 1e-8:
             raise DomainError(f"gram {name} vectors are not unit length")
 
-    basis = clifford_generators(r)
-    x_obs = np.tensordot(gram.x, basis.generators, axes=(1, 0))
-    y_obs = np.tensordot(gram.y, basis.generators, axes=(1, 0))
-    state = maximally_entangled_state(basis.dim)
+    gens = clifford_generators(r)
+    x_obs = np.tensordot(gram.x, gens, axes=(1, 0))
+    y_obs = np.tensordot(gram.y, gens, axes=(1, 0))
+    state = maximally_entangled_state(dim)
     return ObservableRealization(
         x_observables=x_obs, y_observables=y_obs, state=state
     )

@@ -102,7 +102,7 @@ def test_transpose_agreement(seed):
     rng = np.random.default_rng(100 + seed)
     matrix = CoefficientMatrix(rng.standard_normal((7, 10)))
     direct = classical_bound(matrix).bound
-    flipped = classical_bound(matrix.transposed()).bound
+    flipped = classical_bound(CoefficientMatrix(matrix.entries.T)).bound
     assert direct == pytest.approx(flipped, rel=1e-12)
 
 
@@ -110,7 +110,7 @@ def test_transpose_agreement(seed):
 def test_scaling_equivariance(c):
     matrix = CoefficientMatrix(np.array([[1.0, -2.0], [0.5, 3.0]]))
     base = classical_bound(matrix).bound
-    scaled = classical_bound(matrix.scaled(c)).bound
+    scaled = classical_bound(CoefficientMatrix(matrix.entries * c)).bound
     assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
 
 
@@ -167,7 +167,7 @@ def test_split_scan_witness_is_first_gray_order_maximizer(block, monkeypatch):
 def test_size_guard_counts_the_scanned_side():
     # 29 x 2 scans 2 columns, so it is cheap and equals its transpose.
     wide = CoefficientMatrix(np.arange(58.0).reshape(29, 2) % 7 - 3)
-    assert classical_bound(wide).bound == classical_bound(wide.transposed()).bound
+    assert classical_bound(wide).bound == classical_bound(CoefficientMatrix(wide.entries.T)).bound
     # 28 x 29 is one column past the largest allowed scan, 28 x 28.
     with pytest.raises(SizeLimitError, match=str(2**27)):
         classical_bound(CoefficientMatrix(np.ones((28, 29))))
@@ -184,7 +184,7 @@ def test_wide_matrix_enumerates_columns():
     matrix = CoefficientMatrix(rng.standard_normal((2, 20)))
     result = classical_bound(matrix)
     assert result.bound == pytest.approx(
-        classical_bound(matrix.transposed()).bound, rel=1e-12
+        classical_bound(CoefficientMatrix(matrix.entries.T)).bound, rel=1e-12
     )
     assert result.witness.s.size == 2
     assert result.witness.t.size == 20

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from bellbound import (
 from bellbound import cli
 from bellbound.cli import run
 
-REPORT_KEYS = {"command", "version", "backend", "inputs", "results"}
+REPORT_KEYS = {"command", "version", "inputs", "results"}
 
 
 def invoke(capsys, argv):
@@ -31,7 +32,7 @@ def invoke(capsys, argv):
     report = json.loads(captured.out)
     # Every report is one line of compact JSON.
     assert captured.out == json.dumps(report, separators=(",", ":")) + "\n"
-    assert REPORT_KEYS <= set(report)
+    assert set(report) - {"reference_comparison"} == REPORT_KEYS
     assert "seed" in report["inputs"]
     return code, report
 
@@ -314,6 +315,29 @@ def test_identical_invocations_identical_reports(capsys):
     run(["estimate", "--d", "4", "--normalized"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_inputs_echo_every_parsed_argument(chsh_file, tmp_path, capsys):
+    # A new flag cannot be left out of the report's inputs.
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    ledger = str(tmp_path / "runs.jsonl")
+    argvs = {
+        "generate": ["--family", "chsh", "--out", str(tmp_path / "g.json")],
+        "classical": ["--matrix", chsh_file],
+        "quantum": ["--matrix", chsh_file],
+        "expand": ["--matrix", chsh_file],
+        "estimate": ["--d", "2"],
+        "realize": ["--matrix", chsh_file, "--out", str(tmp_path / "r.json")],
+        "search": ["--n", "2", "--m", "2", "--iters", "2", "--ledger", ledger],
+        "report": ["--ledger", ledger],
+    }
+    assert set(argvs) == set(sub.choices)
+    for command, argv in argvs.items():
+        code, report = invoke(capsys, [command] + argv)
+        assert code == 0
+        dests = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+        assert set(report["inputs"]) == dests | {"seed"}
 
 
 def test_usage_error_exit_code():

@@ -12,11 +12,16 @@ from bellbound import (
     chsh_matrix,
     detect_family,
     load_matrix,
-    matrix_to_bytes,
     save_matrix,
     tensor_power,
 )
 from bellbound.errors import MatrixFormatError, SizeLimitError
+
+
+def matrix_to_bytes(matrix):
+    buf = io.BytesIO()
+    save_matrix(matrix, buf)
+    return buf.getvalue()
 
 
 def hadamard_bitwise(d):

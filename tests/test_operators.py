@@ -11,7 +11,6 @@ from bellbound import (
     closed_form_bound,
     norm_estimate,
     normalized_violation_estimate,
-    numeric_check,
     quantum_bound,
     save_matrix,
     square_bell_operator,
@@ -19,6 +18,7 @@ from bellbound import (
 )
 from bellbound.cli import run
 from bellbound.errors import DomainError, SizeLimitError
+from tests.expansion_oracle import numeric_check
 
 # Full term set of the squared four-observable Bell operator, 0-based indices,
 # canonical pairs (first < second), commutator antisymmetry absorbed into the
@@ -135,13 +135,6 @@ def test_numeric_check_with_residuals_and_zeros(seed):
                                          [0.0, -1.0, 1.0],
                                          [1.0, 1.0, 0.0]]))
     assert numeric_check(sparse, dim=2, seed=seed) <= 1e-10
-
-
-def test_numeric_check_guards():
-    with pytest.raises(SizeLimitError):
-        numeric_check(CoefficientMatrix(np.ones((9, 9))), dim=2, seed=0)
-    with pytest.raises(SizeLimitError):
-        numeric_check(chsh_matrix(), dim=17, seed=0)
 
 
 def test_norm_estimate_chsh():

@@ -96,7 +96,7 @@ def test_scale_equivariance(factor):
     rng = np.random.default_rng(5)
     matrix = CoefficientMatrix(rng.standard_normal((3, 4)))
     base = quantum_bound(matrix, seed=1).primal.objective
-    scaled = quantum_bound(matrix.scaled(factor), seed=1).primal.objective
+    scaled = quantum_bound(CoefficientMatrix(matrix.entries * factor), seed=1).primal.objective
     assert scaled == pytest.approx(abs(factor) * base, rel=1e-6)
 
 

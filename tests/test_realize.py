@@ -32,35 +32,35 @@ def assert_involution(op, tol=1e-12):
 
 
 def test_single_generator():
-    basis = clifford_generators(1)
-    assert basis.dim == 1
-    assert np.array_equal(basis.generators, np.ones((1, 1, 1)))
+    gens = clifford_generators(1)
+    assert np.array_equal(gens, np.ones((1, 1, 1)))
+    assert not gens.flags.writeable
 
 
 def test_two_generators_anticommute():
-    basis = clifford_generators(2)
-    assert basis.dim == 2
-    g1, g2 = basis.generators
+    gens = clifford_generators(2)
+    assert gens.shape == (2, 2, 2)
+    g1, g2 = gens
     assert np.abs(g1 @ g2 + g2 @ g1).max() <= 1e-12
 
 
 def test_five_generators_all_pairs_anticommute():
-    basis = clifford_generators(5)
-    assert basis.dim == 4
+    gens = clifford_generators(5)
+    assert gens.shape == (5, 4, 4)
     for a, b in itertools.combinations(range(5), 2):
-        ga, gb = basis.generators[a], basis.generators[b]
+        ga, gb = gens[a], gens[b]
         assert np.abs(ga @ gb + gb @ ga).max() <= 1e-12
-    for g in basis.generators:
+    for g in gens:
         assert_involution(g)
 
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_generator_trace_orthogonality(r):
-    basis = clifford_generators(r)
+    gens = clifford_generators(r)
     for a in range(r):
         for b in range(r):
-            tr = np.trace(basis.generators[a] @ basis.generators[b])
-            expected = basis.dim if a == b else 0.0
+            tr = np.trace(gens[a] @ gens[b])
+            expected = gens.shape[1] if a == b else 0.0
             assert abs(tr - expected) <= 1e-12
 
 
@@ -85,25 +85,25 @@ def ceil_ladder(r):
 
 @pytest.mark.parametrize("r", range(1, 13))
 def test_ladder_on_floor_half_qubits(r):
-    basis = clifford_generators(r)
-    assert basis.dim == 2 ** (r // 2)
-    assert basis.generators.shape == (r, basis.dim, basis.dim)
-    eye = np.eye(basis.dim)
-    for g in basis.generators:
+    gens = clifford_generators(r)
+    dim = 2 ** (r // 2)
+    assert gens.shape == (r, dim, dim)
+    eye = np.eye(dim)
+    for g in gens:
         assert np.array_equal(g, g.conj().T)
         assert np.array_equal(g @ g, eye)
     for a, b in itertools.combinations(range(r), 2):
-        ga, gb = basis.generators[a], basis.generators[b]
+        ga, gb = gens[a], gens[b]
         assert np.array_equal(ga @ gb + gb @ ga, np.zeros_like(ga))
         assert np.trace(ga @ gb) == 0.0
     if r % 2 == 0:
-        assert np.array_equal(basis.generators, ceil_ladder(r))
+        assert np.array_equal(gens, ceil_ladder(r))
     else:
         closing = np.eye(1, dtype=np.complex128)
         for _ in range(r // 2):
             closing = np.kron(closing, PAULI_Z)
-        assert np.array_equal(basis.generators[-1], closing)
-        assert np.array_equal(basis.generators[:-1], ceil_ladder(r - 1))
+        assert np.array_equal(gens[-1], closing)
+        assert np.array_equal(gens[:-1], ceil_ladder(r - 1))
 
 
 def test_generator_count_guards():

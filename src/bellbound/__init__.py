@@ -8,6 +8,11 @@ observable realizations from Clifford generators, and searches for matrices
 with large quantum-to-classical ratios.
 """
 
+import os
+
+# Small matrices gain nothing from BLAS threads, whose idle workers spin.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from . import errors

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 size-guard/domain/format error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,7 +42,6 @@ from .quantum import quantum_bound, save_certificate
 from .realize import bell_value, correlation_matrix, realization_to_json, realize
 from .search import ratio_search, record_from_json
 
-USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 NOT_CONVERGED = 4
 
@@ -291,6 +291,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellbound",

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -454,3 +455,34 @@ def test_out_of_range_matrix_exit_code(tmp_path, capsys, entries, command):
     assert code == 3
     assert captured.out == ""
     assert "error" in captured.err
+
+
+def _python(args, blas_threads):
+    # A fresh interpreter with OPENBLAS_NUM_THREADS unset or set.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run(
+        [sys.executable] + args, env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    ).stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_one_blas_thread_by_default():
+    # OpenBLAS used to start one spinning worker per extra core.
+    probe = ("import os, bellbound.cli; "
+             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    assert _python(["-c", probe], None).split() == ["1", "1"]
+    # A value the caller set is kept.
+    assert _python(["-c", probe], "2").split()[1] == "2"
+
+
+def test_quantum_report_independent_of_blas_threads(tmp_path):
+    # On 2 CPUs the 128x128 min_eigenvalue used to differ in its last digits
+    # between the default thread count and OPENBLAS_NUM_THREADS=1.
+    path = tmp_path / "gauss128.json"
+    with open(path, "wb") as f:
+        save_matrix(CoefficientMatrix(np.random.default_rng(0).standard_normal((128, 128))), f)
+    argv = ["-m", "bellbound", "quantum", "--seed", "601", "--matrix", str(path)]
+    assert _python(argv, None) == _python(argv, "1")

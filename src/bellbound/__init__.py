@@ -45,7 +45,6 @@ from .quantum import (
     load_certificate,
     quantum_bound,
     save_certificate,
-    violation_ratio,
 )
 from .realize import (
     ObservableRealization,
@@ -80,7 +79,6 @@ __all__ = [
     "QuantumBoundResult",
     "quantum_bound",
     "check_dual",
-    "violation_ratio",
     "save_certificate",
     "load_certificate",
     "OperatorExpression",

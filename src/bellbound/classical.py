@@ -43,8 +43,11 @@ class SignAssignment:
 
 @dataclass(frozen=True)
 class ClassicalBoundResult:
-    bound: float
     witness: SignAssignment
+
+    @property
+    def bound(self) -> float:
+        return self.witness.value
 
 
 def evaluate_classical(
@@ -93,4 +96,4 @@ def classical_bound(matrix: CoefficientMatrix) -> ClassicalBoundResult:
     if flip:
         s, t = t, s
     witness = SignAssignment(s=s.astype(np.int8), t=t.astype(np.int8), value=value)
-    return ClassicalBoundResult(bound=value, witness=witness)
+    return ClassicalBoundResult(witness=witness)

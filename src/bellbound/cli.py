@@ -38,6 +38,7 @@ from .operators import (
     normalized_violation_estimate,
     square_bell_operator,
 )
+from .quantum import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL
 from .quantum import quantum_bound, save_certificate
 from .realize import bell_value, correlation_matrix, realization_to_json, realize
 from .search import ratio_search, record_from_json
@@ -273,19 +274,9 @@ def _cmd_report(args) -> int:
             line = line.strip()
             if line:
                 records.append(record_from_json(line))
-    best = max(records, key=lambda rec: rec.ratio).to_json_dict() if records else None
-    summary = [
-        {
-            "n": rec.matrix.rows,
-            "m": rec.matrix.cols,
-            "ratio": rec.ratio,
-            "classical": rec.classical,
-            "quantum": rec.quantum,
-            "iteration_found": rec.iteration_found,
-            "seed": rec.seed,
-        }
-        for rec in records
-    ]
+    docs = [rec.to_json_dict() for rec in records]
+    best = max(docs, key=lambda doc: doc["ratio"]) if docs else None
+    summary = [{k: v for k, v in doc.items() if k != "entries"} for doc in docs]
     results = {"count": len(records), "best": best, "records": summary}
     _emit(_report(args, results))
     return 0
@@ -311,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum", help="certified quantum bound")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cert-out", help="write the dual certificate to a file")
     p.add_argument("--strict", action="store_true",

@@ -13,10 +13,6 @@ class DomainError(BellboundError):
     """An argument is outside the domain where the operation is defined."""
 
 
-class UndefinedRatioError(DomainError):
-    """Violation ratio requested for a matrix with zero classical bound."""
-
-
 class MatrixFormatError(BellboundError):
     """A matrix or certificate document failed to parse or validate."""
 

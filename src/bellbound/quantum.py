@@ -25,15 +25,13 @@ from typing import BinaryIO, Optional
 import numpy as np
 
 from . import _kernels
-from .classical import classical_bound
 from .errors import (
     DimensionMismatchError,
     DomainError,
     MatrixFormatError,
     SizeLimitError,
-    UndefinedRatioError,
 )
-from .matrices import CoefficientMatrix
+from .matrices import ByteSource, CoefficientMatrix, _read_bytes
 
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITERS = 10_000
@@ -68,7 +66,6 @@ class DualCertificate:
 
     u: np.ndarray
     v: np.ndarray
-    upper_bound: float
     min_eigenvalue: float
 
     def __post_init__(self) -> None:
@@ -77,15 +74,22 @@ class DualCertificate:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @property
+    def upper_bound(self) -> float:
+        """(sum u + sum v) / 2, the bound the weights certify when M is PSD."""
+        return float(self.u.sum() + self.v.sum()) / 2.0
+
 
 @dataclass(frozen=True)
 class QuantumBoundResult:
     primal: GramSolution
     dual: DualCertificate
-    gap: float
     converged: bool
     objective_history: np.ndarray
-    restarts: int
+
+    @property
+    def gap(self) -> float:
+        return self.dual.upper_bound - self.primal.objective
 
 
 def _bilinear(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -188,20 +192,15 @@ def quantum_bound(
     objective, x, y, best_hist, converged = _best_primal(A, groups, max_iters, tol)
     u = np.linalg.norm(A @ y, axis=1)
     v = np.linalg.norm(A.T @ x, axis=1)
-    upper = float(u.sum() + v.sum()) / 2.0
     M = certificate_matrix(matrix, u, v)
     min_eig = float(_kernels.jacobi_eigenvalues(M)[0])
 
-    primal = GramSolution(x=x, y=y, objective=objective)
-    dual = DualCertificate(u=u, v=v, upper_bound=upper, min_eigenvalue=min_eig)
-    gap = upper - objective
+    dual = DualCertificate(u=u, v=v, min_eigenvalue=min_eig)
     return QuantumBoundResult(
-        primal=primal,
+        primal=GramSolution(x=x, y=y, objective=objective),
         dual=dual,
-        gap=gap,
-        converged=bool(converged and gap <= tol),
+        converged=bool(converged and dual.upper_bound - objective <= tol),
         objective_history=best_hist,
-        restarts=restarts,
     )
 
 
@@ -226,17 +225,6 @@ def check_dual(
     return min_eig >= -tol
 
 
-def violation_ratio(matrix: CoefficientMatrix, seed: int = 0) -> float:
-    """Quantum-to-classical ratio; requires a positive classical bound."""
-    classical = classical_bound(matrix)
-    if classical.bound <= 0.0:
-        raise UndefinedRatioError(
-            "violation ratio is undefined for a zero classical bound"
-        )
-    quantum = quantum_bound(matrix, seed=seed)
-    return quantum.primal.objective / classical.bound
-
-
 def save_certificate(certificate: DualCertificate, sink: BinaryIO) -> None:
     doc = {
         "u": [float(w) for w in certificate.u],
@@ -247,10 +235,11 @@ def save_certificate(certificate: DualCertificate, sink: BinaryIO) -> None:
     sink.write(json.dumps(doc).encode("utf-8"))
 
 
-def load_certificate(source) -> DualCertificate:
-    raw = source.read() if hasattr(source, "read") else bytes(source)
+def load_certificate(source: ByteSource) -> DualCertificate:
+    """Parse a save_certificate document; raise MatrixFormatError unless its
+    weights are finite, nonnegative and give its "upper_bound" bit for bit."""
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(_read_bytes(source).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MatrixFormatError(f"invalid certificate document: {exc}") from None
     if not isinstance(doc, dict):
@@ -264,6 +253,14 @@ def load_certificate(source) -> DualCertificate:
         raise MatrixFormatError(f"malformed certificate document: {exc}") from None
     if u.ndim != 1 or v.ndim != 1:
         raise MatrixFormatError("certificate weights must be one-dimensional")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise MatrixFormatError("certificate weights must be finite")
     if (u < 0).any() or (v < 0).any():
         raise MatrixFormatError("certificate weights must be nonnegative")
-    return DualCertificate(u=u, v=v, upper_bound=upper, min_eigenvalue=min_eig)
+    certificate = DualCertificate(u=u, v=v, min_eigenvalue=min_eig)
+    if upper != certificate.upper_bound:
+        raise MatrixFormatError(
+            f"certificate states upper_bound {upper!r}, but its weights give "
+            f"(sum u + sum v) / 2 = {certificate.upper_bound!r}"
+        )
+    return certificate

@@ -47,11 +47,14 @@ LOOP_MAX_ITERS = 2_000
 @dataclass(frozen=True)
 class SearchRecord:
     matrix: CoefficientMatrix
-    ratio: float
     classical: float
     quantum: float
     iteration_found: int
     seed: int
+
+    @property
+    def ratio(self) -> float:
+        return self.quantum / self.classical
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,18 +70,21 @@ class SearchRecord:
 
 
 def record_from_json(line: str) -> SearchRecord:
-    """Parse one ledger line; raise MatrixFormatError if it is not a record."""
+    """Parse one ledger line; raise MatrixFormatError if it is not a record
+    or its "ratio" is not bit-equal to quantum / classical."""
     try:
         doc = json.loads(line)
-        return SearchRecord(
+        record = SearchRecord(
             matrix=CoefficientMatrix(np.asarray(doc["entries"], dtype=np.float64)),
-            ratio=float(doc["ratio"]),
             classical=float(doc["classical"]),
             quantum=float(doc["quantum"]),
             iteration_found=int(doc["iteration_found"]),
             seed=int(doc["seed"]),
         )
-    except (ValueError, KeyError, TypeError) as exc:
+        if float(doc["ratio"]) != record.ratio:
+            raise ValueError(f"ratio {doc['ratio']!r} is not quantum / classical")
+        return record
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise MatrixFormatError(
             f"malformed ledger line {line[:80]!r}: {type(exc).__name__}: {exc}"
         ) from exc
@@ -156,7 +162,6 @@ def ratio_search(
         if best is None or ratio > best.ratio:
             best = SearchRecord(
                 matrix=CoefficientMatrix(entries),
-                ratio=ratio,
                 classical=classical,
                 quantum=quantum,
                 iteration_found=i,
@@ -171,7 +176,6 @@ def ratio_search(
     quantum = quantum_bound(best.matrix, seed=seed).primal.objective
     final = SearchRecord(
         matrix=best.matrix,
-        ratio=quantum / classical,
         classical=classical,
         quantum=quantum,
         iteration_found=best.iteration_found,

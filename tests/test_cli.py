@@ -21,8 +21,9 @@ from bellbound import (
     square_bell_operator,
     tensor_power,
 )
-from bellbound import cli
+from bellbound import cli, quantum
 from bellbound.cli import run
+from tests.test_search import FORGED_LEDGER_LINES, ledger_line
 
 REPORT_KEYS = {"command", "version", "inputs", "results"}
 
@@ -419,6 +420,28 @@ def test_malformed_ledger_line_exit_code(tmp_path, capsys, line, cause):
     assert captured.out == ""
     assert repr(line) in captured.err
     assert cause in captured.err
+
+
+@pytest.mark.parametrize(
+    "ratio, classical, objective, cause", FORGED_LEDGER_LINES, ids=["ratio", "zero"]
+)
+def test_forged_ledger_ratio_exit_code(tmp_path, capsys, ratio, classical, objective, cause):
+    ledger = tmp_path / "forged.jsonl"
+    ledger.write_text(ledger_line(ratio, classical, objective) + "\n", encoding="utf-8")
+    code = run(["report", "--ledger", str(ledger)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert cause in captured.err
+
+
+def test_quantum_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["quantum", "--matrix", "m.json"])
+    assert (args.restarts, args.max_iters, args.tol) == (
+        quantum.DEFAULT_RESTARTS,
+        quantum.DEFAULT_MAX_ITERS,
+        quantum.DEFAULT_TOL,
+    )
 
 
 def test_module_entry_point(tmp_path):

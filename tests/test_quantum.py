@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,13 +14,12 @@ from bellbound import (
     quantum_bound,
     save_certificate,
     tensor_power,
-    violation_ratio,
 )
 from bellbound import _kernels, quantum
 from bellbound.errors import (
     DimensionMismatchError,
+    MatrixFormatError,
     SizeLimitError,
-    UndefinedRatioError,
 )
 from bellbound.quantum import certificate_matrix
 
@@ -160,7 +160,7 @@ def assert_same_result(a, b):
         b.dual.upper_bound,
         b.dual.min_eigenvalue,
     )
-    assert (a.gap, a.converged, a.restarts) == (b.gap, b.converged, b.restarts)
+    assert (a.gap, a.converged) == (b.gap, b.converged)
 
 
 def test_ties_keep_the_first_restart():
@@ -222,9 +222,7 @@ def test_size_guard_refuses_before_sweeping(monkeypatch):
     tall = CoefficientMatrix(np.zeros((524287, 1)))
     with pytest.raises(SizeLimitError, match="524288x524288"):
         quantum_bound(tall)
-    cert = DualCertificate(
-        u=np.zeros(524287), v=np.zeros(1), upper_bound=0.0, min_eigenvalue=0.0
-    )
+    cert = DualCertificate(u=np.zeros(524287), v=np.zeros(1), min_eigenvalue=0.0)
     with pytest.raises(SizeLimitError):
         check_dual(tall, cert)
     # The largest order accepted: 2047 + 1 observables.
@@ -237,7 +235,6 @@ def test_check_dual_exact_chsh_certificate():
     cert = DualCertificate(
         u=np.array([SQRT2, SQRT2]),
         v=np.array([SQRT2, SQRT2]),
-        upper_bound=2.0 * SQRT2,
         min_eigenvalue=0.0,
     )
     M = certificate_matrix(chsh_matrix(), cert.u, cert.v)
@@ -252,23 +249,18 @@ def test_check_dual_rejects_infeasible_certificate():
     cert = DualCertificate(
         u=np.array([0.5, 0.5]),
         v=np.array([0.5, 0.5]),
-        upper_bound=1.0,
         min_eigenvalue=0.0,
     )
     assert not check_dual(chsh_matrix(), cert, tol=1e-8)
 
 
 def test_check_dual_zero_matrix():
-    cert = DualCertificate(
-        u=np.zeros(2), v=np.zeros(2), upper_bound=0.0, min_eigenvalue=0.0
-    )
+    cert = DualCertificate(u=np.zeros(2), v=np.zeros(2), min_eigenvalue=0.0)
     assert check_dual(CoefficientMatrix(np.zeros((2, 2))), cert, tol=1e-8)
 
 
 def test_check_dual_dimension_mismatch():
-    cert = DualCertificate(
-        u=np.ones(3), v=np.ones(2), upper_bound=2.5, min_eigenvalue=0.0
-    )
+    cert = DualCertificate(u=np.ones(3), v=np.ones(2), min_eigenvalue=0.0)
     with pytest.raises(DimensionMismatchError):
         check_dual(chsh_matrix(), cert)
 
@@ -280,29 +272,52 @@ def test_computed_certificate_upper_bound_dominates():
     assert check_dual(chsh_matrix(), result.dual, tol=1e-8)
 
 
-def test_violation_ratio_values():
-    assert violation_ratio(chsh_matrix()) == pytest.approx(SQRT2, abs=1e-6)
-    assert violation_ratio(tensor_power(2)) == pytest.approx(1.0, abs=1e-6)
-    one = CoefficientMatrix(np.array([[1.0]]))
-    assert violation_ratio(one) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_violation_ratio_zero_classical():
-    with pytest.raises(UndefinedRatioError):
-        violation_ratio(CoefficientMatrix(np.zeros((2, 2))))
-
-
 def test_certificate_round_trip(tmp_path):
-    result = quantum_bound(chsh_matrix(), seed=0)
-    path = tmp_path / "cert.json"
-    with open(path, "wb") as handle:
-        save_certificate(result.dual, handle)
-    with open(path, "rb") as handle:
-        loaded = load_certificate(handle)
-    assert np.array_equal(loaded.u, result.dual.u)
-    assert np.array_equal(loaded.v, result.dual.v)
-    assert loaded.upper_bound == result.dual.upper_bound
-    assert check_dual(chsh_matrix(), loaded, tol=1e-8)
+    # tensor_power(1) is CHSH; the Gaussians have the benchmark's certify sizes.
+    rng = np.random.default_rng(601)
+    shapes = [(12, 12), (16, 16), (20, 20), (22, 22), (21, 32)]
+    matrices = [tensor_power(d) for d in range(1, 5)]
+    matrices += [CoefficientMatrix(rng.standard_normal(shape)) for shape in shapes]
+    loaded_certificates = []
+    for matrix in matrices:
+        result = quantum_bound(matrix, seed=0)
+        path = tmp_path / "cert.json"
+        with open(path, "wb") as handle:
+            save_certificate(result.dual, handle)
+        with open(path, "rb") as handle:
+            loaded = load_certificate(handle)
+        assert np.array_equal(loaded.u, result.dual.u)
+        assert np.array_equal(loaded.v, result.dual.v)
+        assert loaded.upper_bound == result.dual.upper_bound
+        assert loaded.min_eigenvalue == result.dual.min_eigenvalue
+        assert check_dual(matrix, loaded, tol=1e-8) == (result.dual.min_eigenvalue >= -1e-8)
+        loaded_certificates.append(loaded)
+    assert check_dual(chsh_matrix(), loaded_certificates[0], tol=1e-8)
+
+
+def chsh_certificate(upper_bound) -> bytes:
+    weights = [SQRT2, SQRT2]
+    doc = {"u": weights, "v": weights, "upper_bound": upper_bound, "min_eigenvalue": 0.0}
+    return json.dumps(doc).encode("utf-8")
+
+
+def test_certificate_stating_a_bound_its_weights_do_not_give_is_refused():
+    # Loaded as stated, this file "certified" Q <= 1 < L = 2 for CHSH.
+    with pytest.raises(MatrixFormatError, match="upper_bound 1.0"):
+        load_certificate(chsh_certificate(1.0))
+    cert = load_certificate(chsh_certificate(2.0 * SQRT2))
+    assert cert.upper_bound == 2.0 * SQRT2
+    assert check_dual(chsh_matrix(), cert)
+
+
+@pytest.mark.parametrize("side", ["u", "v"])
+@pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+def test_non_finite_certificate_weights_are_refused(side, weight):
+    # NaN passed the "< 0" test; Infinity made check_dual raise LinAlgError.
+    text = chsh_certificate(2.0 * SQRT2).decode("utf-8")
+    text = text.replace(f'"{side}": [{SQRT2!r}', f'"{side}": [{weight}', 1)
+    with pytest.raises(MatrixFormatError, match="finite"):
+        load_certificate(text.encode("utf-8"))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (5, 5), (8, 8), (7, 5)])

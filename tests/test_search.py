@@ -13,7 +13,12 @@ from bellbound import (
 )
 from bellbound import _kernels, quantum, search
 from bellbound.classical import classical_bound
-from bellbound.errors import DimensionMismatchError, DomainError, SizeLimitError
+from bellbound.errors import (
+    DimensionMismatchError,
+    DomainError,
+    MatrixFormatError,
+    SizeLimitError,
+)
 from bellbound.quantum import quantum_bound
 
 
@@ -77,6 +82,33 @@ def test_record_json_round_trip():
     assert again.ratio == record.ratio
     assert again.seed == record.seed
     assert np.array_equal(again.matrix.entries, record.matrix.entries)
+
+
+# One ledger line with a ratio that is not quantum / classical, and one whose
+# ratio is undefined.
+FORGED_LEDGER_LINES = [
+    (2.0, 1.0, 1.5, "ratio 2.0 is not quantum / classical"),
+    (1.0, 0.0, 0.0, "ZeroDivisionError"),
+]
+
+
+def ledger_line(ratio, classical, objective):
+    return json.dumps({"n": 1, "m": 1, "entries": [[1.0]], "ratio": ratio,
+                       "classical": classical, "quantum": objective,
+                       "iteration_found": 0, "seed": 0})
+
+
+@pytest.mark.parametrize(
+    "ratio, classical, objective, cause", FORGED_LEDGER_LINES, ids=["ratio", "zero"]
+)
+def test_record_from_json_refuses_a_ratio_its_bounds_do_not_give(
+    ratio, classical, objective, cause
+):
+    with pytest.raises(MatrixFormatError, match=cause):
+        record_from_json(ledger_line(ratio, classical, objective))
+    if classical:
+        record = record_from_json(ledger_line(objective / classical, classical, objective))
+        assert record.ratio == objective / classical
 
 
 def test_search_guards():

@@ -198,7 +198,7 @@ def _cmd_expand(args) -> int:
     matrix = _load_matrix_file(args.matrix)
     expr = square_bell_operator(matrix)
     shown = expr.assuming_commuting() if args.commuting else expr
-    bound = norm_estimate(expr, commuting_sites=args.commuting)
+    bound = norm_estimate(shown)
     results = {
         "expression": _SPLICE,
         "norm_bound": bound,
@@ -355,10 +355,3 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
 
-
-def main(argv=None) -> int:
-    return run(argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .errors import DomainError, SizeLimitError
 from .matrices import CoefficientMatrix
 
 MAX_EXPANSION_SIZE = 32
-
-Pair = tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +41,6 @@ class OperatorExpression:
                      and y pair q = (j, l);
     acomm[p, q] = c  means  c * {X_i, X_k} {Y_j, Y_l};
     residual[s, p] = c  means  c * {Z_i, Z_k}  on site s (0 is x, 1 is y).
-    comm_terms, acomm_terms and residual_terms list the nonzero entries as
-    ((i, k), (j, l), c) and (site, (i, k), c) tuples, row-major.  They are
-    built on first access only; reports and norm estimates read the arrays.
     Arrays do not compare with ``==``, so expressions compare by identity.
     """
 
@@ -54,22 +49,6 @@ class OperatorExpression:
     comm: np.ndarray
     acomm: np.ndarray
     residual: np.ndarray
-
-    @cached_property
-    def _canonical(self) -> list[Pair]:
-        return list(zip(*(index.tolist() for index in self.pairs)))
-
-    @cached_property
-    def comm_terms(self) -> tuple[tuple[Pair, Pair, float], ...]:
-        return tuple(_nonzero(self.comm, self._canonical, self._canonical))
-
-    @cached_property
-    def acomm_terms(self) -> tuple[tuple[Pair, Pair, float], ...]:
-        return tuple(_nonzero(self.acomm, self._canonical, self._canonical))
-
-    @cached_property
-    def residual_terms(self) -> tuple[tuple[str, Pair, float], ...]:
-        return tuple(_nonzero(self.residual, "xy", self._canonical))
 
     def assuming_commuting(self) -> "OperatorExpression":
         """The expression after setting every same-site commutator to zero."""
@@ -83,7 +62,7 @@ class OperatorExpression:
         Each pair and each distinct coefficient is encoded once; no per-term
         Python object is built.
         """
-        pairs = [f"[{i},{k}]" for i, k in self._canonical]
+        pairs = [f"[{i},{k}]" for i, k in zip(*self.pairs)]
         return (
             f'{{"identity":{json.dumps(self.identity_coeff)}'
             f',"commutators":{_json_terms(self.comm, pairs, pairs)}'
@@ -116,16 +95,6 @@ def _json_terms(coeffs: np.ndarray, rows, cols) -> str:
     parts[0, 0] = "[" + parts[0, 0]
     parts[-1, 1] = parts[-1, 1][:-1] + "]"
     return "".join(parts.ravel().tolist())
-
-
-def _nonzero(coeffs: np.ndarray, rows, cols):
-    """(rows[p], cols[q], coeffs[p, q]) for each nonzero entry, row-major."""
-    p, q = np.nonzero(coeffs)
-    return zip(
-        [rows[i] for i in p.tolist()],
-        [cols[j] for j in q.tolist()],
-        coeffs[p, q].tolist(),
-    )
 
 
 def square_bell_operator(matrix: CoefficientMatrix) -> OperatorExpression:
@@ -161,28 +130,28 @@ def square_bell_operator(matrix: CoefficientMatrix) -> OperatorExpression:
     )
 
 
-def norm_estimate(expr: OperatorExpression, commuting_sites: bool = False) -> float:
+def norm_estimate(expr: OperatorExpression) -> float:
     """Upper bound on the Bell value from the squared operator.
 
     Triangle inequality with per-factor norm bounds of 2 for commutators and
     anticommutators, then the variance inequality ||B|| <= sqrt(||B^2||).
-    Same-site commutators drop out when ``commuting_sites`` is set; single-site
-    residual anticommutators contribute 2|c| either way.
+    Single-site residual anticommutators contribute 2|c|.  The bound for
+    commuting sites is ``norm_estimate(expr.assuming_commuting())``.
     """
     # Every coefficient is a half-integer or an integer, so the sums are exact.
     total = expr.identity_coeff
     total += 4.0 * float(np.abs(expr.acomm).sum())
-    if not commuting_sites:
-        total += 4.0 * float(np.abs(expr.comm).sum())
+    total += 4.0 * float(np.abs(expr.comm).sum())
     total += 2.0 * float(np.abs(expr.residual).sum())
     return math.sqrt(total)
 
 
-def _check_order(d: int) -> None:
+def _check_order(d: int) -> int:
     if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
         raise DomainError("the order d must be an integer")
     if d < 1:
         raise DomainError(f"the order d must be positive, got {d}")
+    return int(d)  # numpy integers wrap around in shifts
 
 
 def closed_form_bound(d: int, commuting_sites: bool = False) -> float:
@@ -197,26 +166,30 @@ def closed_form_bound(d: int, commuting_sites: bool = False) -> float:
                     =  2^d * sqrt(3 * 2^d - 2)
 
     The commuting case is undefined at d = 1, where no anticommutator
-    appears in the squared operator.
+    appears in the squared operator.  Orders whose bound exceeds a double's
+    range (d > 340, or d > 341 for commuting sites) raise DomainError.
     """
-    _check_order(d)
-    pairs = (1 << d) * ((1 << d) - 1) // 2
-    identity = 1 << (2 * d)
-    if commuting_sites:
-        if d < 2:
-            raise DomainError(
-                "the commuting-sites bound requires d >= 2: with two "
-                "observables per site the squared operator has no "
-                "anticommutator contribution"
-            )
-        return math.sqrt(4.0 * pairs * (1 << (d - 1)) + identity)
+    d = _check_order(d)
+    if commuting_sites and d < 2:
+        raise DomainError(
+            "the commuting-sites bound requires d >= 2: with two "
+            "observables per site the squared operator has no "
+            "anticommutator contribution"
+        )
     if d == 1:
         warnings.warn(
             "the d=1 counting bound assumes anticommutator terms that the "
             "two-observable expansion does not contain",
             stacklevel=2,
         )
-    return math.sqrt(4.0 * pairs * ((1 << d) + (1 << (d - 1))) + identity)
+    bound = math.inf
+    if d <= sys.float_info.max_exp // 3:  # else the radicand, ~2^(3d), overflows
+        pairs = (1 << d) * ((1 << d) - 1) // 2
+        partners = 1 << (d - 1) if commuting_sites else (1 << d) + (1 << (d - 1))
+        bound = math.sqrt(4.0 * pairs * partners + (1 << (2 * d)))
+    if not math.isfinite(bound):
+        raise DomainError(f"the counting bound at d = {d} exceeds a double's range")
+    return bound
 
 
 def normalized_violation_estimate(d: int) -> float:

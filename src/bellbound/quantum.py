@@ -237,7 +237,8 @@ def save_certificate(certificate: DualCertificate, sink: BinaryIO) -> None:
 
 def load_certificate(source: ByteSource) -> DualCertificate:
     """Parse a save_certificate document; raise MatrixFormatError unless its
-    weights are finite, nonnegative and give its "upper_bound" bit for bit."""
+    values are finite JSON numbers and its weights are nonnegative, with a
+    finite sum that gives its "upper_bound" bit for bit."""
     try:
         doc = json.loads(_read_bytes(source).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -245,16 +246,19 @@ def load_certificate(source: ByteSource) -> DualCertificate:
     if not isinstance(doc, dict):
         raise MatrixFormatError("certificate document must be a JSON object")
     try:
-        u = np.asarray(doc["u"], dtype=np.float64)
-        v = np.asarray(doc["v"], dtype=np.float64)
+        values = [*doc["u"], *doc["v"], doc["upper_bound"], doc["min_eigenvalue"]]
+        if not all(type(value) in (int, float) for value in values):
+            raise TypeError("certificate values must be JSON numbers")
+        u = np.array(doc["u"], dtype=np.float64)
+        v = np.array(doc["v"], dtype=np.float64)
         upper = float(doc["upper_bound"])
         min_eig = float(doc["min_eigenvalue"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFormatError(f"malformed certificate document: {exc}") from None
-    if u.ndim != 1 or v.ndim != 1:
-        raise MatrixFormatError("certificate weights must be one-dimensional")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise MatrixFormatError("certificate weights must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(u.sum() + v.sum()) and np.isfinite(min_eig)
+    if not finite:
+        raise MatrixFormatError("certificate weights, sum and min_eigenvalue must be finite")
     if (u < 0).any() or (v < 0).any():
         raise MatrixFormatError("certificate weights must be nonnegative")
     certificate = DualCertificate(u=u, v=v, min_eigenvalue=min_eig)

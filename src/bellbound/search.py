@@ -20,17 +20,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import IO, Optional
 
 import numpy as np
 
 from .classical import classical_bound
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    MatrixFormatError,
-    SizeLimitError,
-)
+from .errors import DomainError, MatrixFormatError, SizeLimitError
 from .matrices import CoefficientMatrix
 from .quantum import _best_primal, _seeded_starts, quantum_bound
 
@@ -105,14 +100,12 @@ def ratio_search(
     m: int,
     iterations: int,
     seed: int = 0,
-    include: Sequence[CoefficientMatrix] = (),
     record_sink: Optional[IO[str]] = None,
 ) -> SearchRecord:
     """Best quantum/classical ratio found over the iteration budget.
 
-    The first iterations evaluate the ``include`` matrices verbatim, then the
-    stream mixes fresh Gaussian samples (every second iteration during the
-    first 100, every tenth afterwards) with perturbations of the current
+    The stream mixes fresh Gaussian samples (every second iteration during
+    the first 100, every tenth afterwards) with perturbations of the current
     best.  Deterministic given (n, m, iterations, seed): running longer only
     extends the stream.  Each new best is appended to ``record_sink`` as one
     JSON line, as is the final re-verified record.
@@ -123,12 +116,6 @@ def ratio_search(
         )
     if iterations < 1:
         raise DomainError("iteration budget must be at least 1")
-    for candidate in include:
-        if (candidate.rows, candidate.cols) != (n, m):
-            raise DimensionMismatchError(
-                f"included matrix is {candidate.rows}x{candidate.cols}, "
-                f"search is {n}x{m}"
-            )
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     starts = list(_seeded_starts(n, m, min(n, m), LOOP_RESTARTS, seed))
@@ -140,9 +127,7 @@ def ratio_search(
 
     for i in range(iterations):
         explore = (i < EXPLORATION_SPAN and i % 2 == 0) or i % FRESH_SAMPLE_PERIOD == 0
-        if i < len(include):
-            entries = include[i].entries.copy()
-        elif best is None or explore:
+        if best is None or explore:
             entries = rng.standard_normal((n, m))
         else:
             base = best.matrix.entries

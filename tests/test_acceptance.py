@@ -79,24 +79,25 @@ def test_criterion_03_four_observable_classical_bound():
 
 
 def test_criterion_04_chsh_squared_operator():
-    expr = bb.square_bell_operator(bb.chsh_matrix())
-    assert expr.identity_coeff == 4.0
-    assert expr.comm_terms == (((0, 1), (0, 1), -1.0),)
-    assert expr.acomm_terms == ()
-    assert expr.residual_terms == ()
+    assert bb.square_bell_operator(bb.chsh_matrix()).to_json_dict() == {
+        "identity": 4.0,
+        "commutators": [[[0, 1], [0, 1], -1.0]],
+        "anticommutators": [],
+        "residual": [],
+    }
     tell("PASS criterion 4: B_2^2 = 4 I - [X1,X2][Y1,Y2], exact symbolic match")
 
 
 def test_criterion_05_four_observable_squared_operator():
-    expr = bb.square_bell_operator(bb.tensor_power(2))
-    assert expr.identity_coeff == 16.0
-    assert len(expr.comm_terms) == 24
-    assert all(abs(c) == 1.0 for _, _, c in expr.comm_terms)
-    assert len(expr.acomm_terms) == 12
-    assert all(abs(c) == 1.0 for _, _, c in expr.acomm_terms)
-    assert expr.residual_terms == ()
-    assert as_dict(expr.comm_terms) == R4_COMM_TERMS
-    assert as_dict(expr.acomm_terms) == R4_ACOMM_TERMS
+    doc = bb.square_bell_operator(bb.tensor_power(2)).to_json_dict()
+    assert doc["identity"] == 16.0
+    assert len(doc["commutators"]) == 24
+    assert all(abs(c) == 1.0 for _, _, c in doc["commutators"])
+    assert len(doc["anticommutators"]) == 12
+    assert all(abs(c) == 1.0 for _, _, c in doc["anticommutators"])
+    assert doc["residual"] == []
+    assert as_dict(doc["commutators"]) == R4_COMM_TERMS
+    assert as_dict(doc["anticommutators"]) == R4_ACOMM_TERMS
     worst = max(
         numeric_check(bb.tensor_power(2), dim=4, seed=seed) for seed in range(20)
     )
@@ -109,8 +110,8 @@ def test_criterion_05_four_observable_squared_operator():
 
 def test_criterion_06_norm_estimates_for_d2():
     expr = bb.square_bell_operator(bb.tensor_power(2))
-    commuting = bb.norm_estimate(expr, commuting_sites=True)
-    general = bb.norm_estimate(expr, commuting_sites=False)
+    commuting = bb.norm_estimate(expr.assuming_commuting())
+    general = bb.norm_estimate(expr)
     assert abs(commuting - 8.0) <= 1e-9
     assert abs(general - 4.0 * math.sqrt(10.0)) <= 1e-9
     assert bb.closed_form_bound(2, True) == commuting

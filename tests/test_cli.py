@@ -180,6 +180,18 @@ def test_estimate_domain_error_exit_code(capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv", [["--d", "341"], ["--d", "342", "--commuting"], ["--d", "512"]]
+)
+def test_estimate_past_a_double_exits_3(capsys, argv):
+    # These printed "bound":Infinity, which is not JSON, or an OverflowError.
+    code = run(["estimate", *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "range" in captured.err
+
+
 def test_realize_subcommand(chsh_file, tmp_path, capsys):
     out = str(tmp_path / "real.json")
     code, report = invoke(

@@ -48,33 +48,35 @@ R4_ACOMM_TERMS = {
 
 
 def as_dict(terms):
-    return {(xp, yp): c for xp, yp, c in terms}
+    """{(x_pair, y_pair): c} of a report's [[i, k], [j, l], c] term list."""
+    return {(tuple(xp), tuple(yp)): c for xp, yp, c in terms}
 
 
 def test_chsh_square_is_identity_minus_one_commutator():
-    expr = square_bell_operator(chsh_matrix())
-    assert expr.identity_coeff == 4.0
-    assert expr.comm_terms == (((0, 1), (0, 1), -1.0),)
-    assert expr.acomm_terms == ()
-    assert expr.residual_terms == ()
+    assert square_bell_operator(chsh_matrix()).to_json_dict() == {
+        "identity": 4.0,
+        "commutators": [[[0, 1], [0, 1], -1.0]],
+        "anticommutators": [],
+        "residual": [],
+    }
 
 
 def test_tensor_square_term_set():
-    expr = square_bell_operator(tensor_power(2))
-    assert expr.identity_coeff == 16.0
-    assert expr.residual_terms == ()
-    assert len(expr.comm_terms) == 24
-    assert len(expr.acomm_terms) == 12
-    assert as_dict(expr.comm_terms) == R4_COMM_TERMS
-    assert as_dict(expr.acomm_terms) == R4_ACOMM_TERMS
+    doc = square_bell_operator(tensor_power(2)).to_json_dict()
+    assert doc["identity"] == 16.0
+    assert doc["residual"] == []
+    assert len(doc["commutators"]) == 24
+    assert len(doc["anticommutators"]) == 12
+    assert as_dict(doc["commutators"]) == R4_COMM_TERMS
+    assert as_dict(doc["anticommutators"]) == R4_ACOMM_TERMS
 
 
 def test_commuting_variant_keeps_only_anticommutators():
-    expr = square_bell_operator(tensor_power(2)).assuming_commuting()
-    assert expr.identity_coeff == 16.0
-    assert expr.comm_terms == ()
-    assert len(expr.acomm_terms) == 12
-    assert as_dict(expr.acomm_terms) == R4_ACOMM_TERMS
+    doc = square_bell_operator(tensor_power(2)).assuming_commuting().to_json_dict()
+    assert doc["identity"] == 16.0
+    assert doc["commutators"] == []
+    assert len(doc["anticommutators"]) == 12
+    assert as_dict(doc["anticommutators"]) == R4_ACOMM_TERMS
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -83,24 +85,25 @@ def test_tensor_power_expansion_structure(d):
     # (X-pair, Y-pair) combination contributes exactly one unit term, with
     # 2^(2d-2) commutator partners per pair.
     n = 1 << d
-    expr = square_bell_operator(tensor_power(d))
-    assert expr.residual_terms == ()
-    assert expr.identity_coeff == float(n * n)
+    doc = square_bell_operator(tensor_power(d)).to_json_dict()
+    assert doc["residual"] == []
+    assert doc["identity"] == float(n * n)
     pairs = comb(n, 2)
     comm_per_pair = 1 << (2 * d - 2)
-    assert sum(abs(c) for _, _, c in expr.comm_terms) == pairs * comm_per_pair
+    assert sum(abs(c) for _, _, c in doc["commutators"]) == pairs * comm_per_pair
     acomm_per_pair = pairs - comm_per_pair
-    assert sum(abs(c) for _, _, c in expr.acomm_terms) == pairs * acomm_per_pair
-    assert all(abs(c) == 1.0 for _, _, c in expr.comm_terms)
-    assert all(abs(c) == 1.0 for _, _, c in expr.acomm_terms)
+    assert sum(abs(c) for _, _, c in doc["anticommutators"]) == pairs * acomm_per_pair
+    assert all(abs(c) == 1.0 for _, _, c in doc["commutators"])
+    assert all(abs(c) == 1.0 for _, _, c in doc["anticommutators"])
 
 
 def test_non_orthogonal_matrix_keeps_residuals():
-    expr = square_bell_operator(CoefficientMatrix(np.ones((2, 2))))
-    assert expr.identity_coeff == 4.0
-    assert expr.comm_terms == ()
-    assert as_dict(expr.acomm_terms) == {((0, 1), (0, 1)): 1.0}
-    assert set(expr.residual_terms) == {("x", (0, 1), 2.0), ("y", (0, 1), 2.0)}
+    assert square_bell_operator(CoefficientMatrix(np.ones((2, 2)))).to_json_dict() == {
+        "identity": 4.0,
+        "commutators": [],
+        "anticommutators": [[[0, 1], [0, 1], 1.0]],
+        "residual": [["x", [0, 1], 2.0], ["y", [0, 1], 2.0]],
+    }
 
 
 def test_square_guards():
@@ -110,7 +113,7 @@ def test_square_guards():
         square_bell_operator(CoefficientMatrix(np.array([[0.5, 1.0], [1.0, 1.0]])))
     with pytest.raises(SizeLimitError):
         square_bell_operator(CoefficientMatrix(np.ones((33, 33))))
-    assert len(square_bell_operator(tensor_power(5)).acomm_terms) > 0
+    assert square_bell_operator(tensor_power(5)).acomm.any()
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -139,14 +142,14 @@ def test_numeric_check_with_residuals_and_zeros(seed):
 
 def test_norm_estimate_chsh():
     expr = square_bell_operator(chsh_matrix())
-    assert norm_estimate(expr, commuting_sites=False) == math.sqrt(8.0)
-    assert norm_estimate(expr, commuting_sites=True) == 2.0
+    assert norm_estimate(expr) == math.sqrt(8.0)
+    assert norm_estimate(expr.assuming_commuting()) == 2.0
 
 
 def test_norm_estimate_tensor_square():
     expr = square_bell_operator(tensor_power(2))
-    assert norm_estimate(expr, commuting_sites=True) == 8.0
-    general = norm_estimate(expr, commuting_sites=False)
+    assert norm_estimate(expr.assuming_commuting()) == 8.0
+    general = norm_estimate(expr)
     assert general == math.sqrt(160.0)
     assert general == pytest.approx(4.0 * math.sqrt(10.0), abs=1e-12)
 
@@ -154,16 +157,16 @@ def test_norm_estimate_tensor_square():
 def test_norm_estimate_counts_residuals():
     expr = square_bell_operator(CoefficientMatrix(np.ones((2, 2))))
     # identity 4 + one anticommutator (4) + two residuals (2 * 2) = 16
-    assert norm_estimate(expr, commuting_sites=False) == 4.0
+    assert norm_estimate(expr) == 4.0
 
 
-def tuple_norm_estimate(expr, commuting_sites):
-    """Reference norm estimate: left-to-right sums over the term tuples."""
-    total = expr.identity_coeff
-    total += 4.0 * sum(abs(c) for _, _, c in expr.acomm_terms)
-    if not commuting_sites:
-        total += 4.0 * sum(abs(c) for _, _, c in expr.comm_terms)
-    total += 2.0 * sum(abs(c) for _, _, c in expr.residual_terms)
+def report_norm_estimate(expr):
+    """Reference norm estimate: left-to-right sums over the report's terms."""
+    doc = expr.to_json_dict()
+    total = doc["identity"]
+    total += 4.0 * sum(abs(c) for _, _, c in doc["anticommutators"])
+    total += 4.0 * sum(abs(c) for _, _, c in doc["commutators"])
+    total += 2.0 * sum(abs(c) for _, _, c in doc["residual"])
     return math.sqrt(total)
 
 
@@ -181,18 +184,17 @@ def tuple_norm_estimate(expr, commuting_sites):
 def test_norm_estimate_from_arrays_equals_tuple_sums(matrix, commuting):
     # Coefficients are half-integers or integers, so both sums are exact.
     expr = square_bell_operator(matrix)
-    expected = tuple_norm_estimate(expr, commuting)
-    assert norm_estimate(expr, commuting_sites=commuting) == expected
     if commuting:
-        dropped = expr.assuming_commuting()
-        assert dropped.comm_terms == ()
-        assert norm_estimate(dropped, commuting_sites=True) == expected
+        expr = expr.assuming_commuting()
+        assert not expr.comm.any()
+    assert norm_estimate(expr) == report_norm_estimate(expr)
 
 
 def test_counting_bound_matches_expansion_at_d2():
     expr = square_bell_operator(tensor_power(2))
-    assert closed_form_bound(2, commuting_sites=True) == norm_estimate(expr, True)
-    assert closed_form_bound(2, commuting_sites=False) == norm_estimate(expr, False)
+    commuting = norm_estimate(expr.assuming_commuting())
+    assert closed_form_bound(2, commuting_sites=True) == commuting
+    assert closed_form_bound(2, commuting_sites=False) == norm_estimate(expr)
 
 
 def test_counting_bound_values():
@@ -220,6 +222,21 @@ def test_counting_bound_guards():
         assert closed_form_bound(1, commuting_sites=False) == 4.0
 
 
+@pytest.mark.parametrize("commuting, last", [(False, 340), (True, 341)])
+def test_counting_bound_refuses_orders_past_a_double(commuting, last):
+    # The next order used to return inf, d = 512 raised OverflowError, and
+    # d = 10**9 built a 2*10^9-bit integer before either.
+    assert math.isfinite(closed_form_bound(last, commuting_sites=commuting))
+    for d in (last + 1, 512, 10**9):
+        with pytest.raises(DomainError, match="range"):
+            closed_form_bound(d, commuting_sites=commuting)
+
+
+def test_counting_bound_takes_numpy_orders():
+    # 1 << np.int64(d) wraps around: d = 40 used to raise "math domain error".
+    assert closed_form_bound(np.int64(40)) == closed_form_bound(40)
+
+
 def test_normalized_estimate_values():
     assert normalized_violation_estimate(2) == pytest.approx(
         math.sqrt(2.5), abs=1e-12
@@ -243,7 +260,7 @@ def test_normalized_estimate_guards():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_norm_estimate_dominates_quantum_value(d):
     matrix = tensor_power(d)
-    estimate = norm_estimate(square_bell_operator(matrix), commuting_sites=False)
+    estimate = norm_estimate(square_bell_operator(matrix))
     quantum = quantum_bound(matrix, seed=0).primal.objective
     assert estimate >= quantum - 1e-6
 

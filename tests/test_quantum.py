@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,36 @@ def test_non_finite_certificate_weights_are_refused(side, weight):
     text = text.replace(f'"{side}": [{SQRT2!r}', f'"{side}": [{weight}', 1)
     with pytest.raises(MatrixFormatError, match="finite"):
         load_certificate(text.encode("utf-8"))
+
+
+# Each document gives its stated upper_bound bit for bit; only the type or
+# the finiteness of one value is wrong.  All of them used to load.
+HALF = {"u": [0.5, 0.5], "v": [0.5, 0.5], "upper_bound": 1.0, "min_eigenvalue": 0.0}
+MISTYPED_CERTIFICATES = {
+    "string-bound": (dict(HALF, upper_bound="1.0"), "JSON numbers"),
+    "bool-bound": (dict(HALF, upper_bound=True), "JSON numbers"),
+    "string-eigenvalue": (dict(HALF, min_eigenvalue="7"), "JSON numbers"),
+    "nan-eigenvalue": (dict(HALF, min_eigenvalue=math.nan), "finite"),
+    "string-weight": (dict(HALF, u=["0.5", 0.5]), "JSON numbers"),
+}
+
+
+@pytest.mark.parametrize("doc, cause", MISTYPED_CERTIFICATES.values(),
+                         ids=MISTYPED_CERTIFICATES.keys())
+def test_certificate_values_must_be_finite_json_numbers(doc, cause):
+    with pytest.raises(MatrixFormatError, match=cause):
+        load_certificate(json.dumps(doc).encode("utf-8"))
+
+
+def test_certificate_weights_whose_sum_overflows_are_refused():
+    # This loaded with an inf bound and numpy overflow warnings, and
+    # check_dual then returned True for CHSH.
+    doc = {"u": [1e308, 1e308], "v": [1e308, 1e308], "upper_bound": math.inf,
+           "min_eigenvalue": 0.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixFormatError, match="sum"):
+            load_certificate(json.dumps(doc).encode("utf-8"))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (5, 5), (8, 8), (7, 5)])

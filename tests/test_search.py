@@ -5,20 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from bellbound import (
-    CoefficientMatrix,
-    ratio_search,
-    record_from_json,
-    tensor_power,
-)
+from bellbound import CoefficientMatrix, ratio_search, record_from_json
 from bellbound import _kernels, quantum, search
 from bellbound.classical import classical_bound
-from bellbound.errors import (
-    DimensionMismatchError,
-    DomainError,
-    MatrixFormatError,
-    SizeLimitError,
-)
+from bellbound.errors import DomainError, MatrixFormatError, SizeLimitError
 from bellbound.quantum import quantum_bound
 
 
@@ -67,15 +57,6 @@ def test_prefix_property_of_the_stream():
     assert long_improvements[: len(short_improvements)] == short_improvements
 
 
-def test_injected_candidate_is_recorded():
-    sink = io.StringIO()
-    ratio_search(4, 4, 25, seed=1, include=[tensor_power(2)], record_sink=sink)
-    first = record_from_json(sink.getvalue().splitlines()[0])
-    assert np.array_equal(first.matrix.entries, tensor_power(2).entries)
-    assert first.iteration_found == 0
-    assert first.ratio == pytest.approx(1.0, abs=1e-6)
-
-
 def test_record_json_round_trip():
     record = ratio_search(2, 2, 30, seed=9)
     again = record_from_json(json.dumps(record.to_json_dict()))
@@ -118,8 +99,6 @@ def test_search_guards():
         ratio_search(2, 0, 10, seed=0)
     with pytest.raises(DomainError):
         ratio_search(2, 2, 0, seed=0)
-    with pytest.raises(DimensionMismatchError):
-        ratio_search(2, 2, 10, seed=0, include=[tensor_power(2)])
 
 
 def search_ledger(n, m, iterations, seed):

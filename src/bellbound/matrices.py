@@ -9,9 +9,9 @@ columns are pairwise orthogonal with all entries +-1.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
-from typing import BinaryIO, Optional, Union
+from itertools import chain
+from typing import BinaryIO, Callable, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import MatrixFormatError, SizeLimitError
 MAX_TENSOR_POWER = 12
 
 ByteSource = Union[bytes, bytearray, memoryview, BinaryIO]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +82,62 @@ def tensor_power(d: int) -> CoefficientMatrix:
     return CoefficientMatrix(out)
 
 
-def _read_bytes(source: ByteSource) -> bytes:
-    if hasattr(source, "read"):
-        return source.read()
-    return bytes(source)
+def _read_document(source: Union[str, ByteSource], kind: str, parse: Callable[[dict], T]) -> T:
+    """parse(doc) for the JSON object doc in source's UTF-8 text.  Reads matrix
+    files, certificates and ledger lines: bad UTF-8 or JSON, a non-object, a
+    missing field or a value parse refuses raises MatrixFormatError naming kind."""
+    try:
+        raw = source.read() if hasattr(source, "read") else source
+        doc = json.loads(raw if isinstance(raw, str) else str(raw, "utf-8"))
+        if not isinstance(doc, dict):
+            raise MatrixFormatError("the document is not a JSON object")
+        return parse(doc)
+    except MatrixFormatError as exc:
+        raise MatrixFormatError(f"invalid {kind}: {exc}") from None
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        raise MatrixFormatError(f"invalid {kind}: {type(exc).__name__}: {exc}") from None
+
+
+def _finite_numbers(values, what: str) -> np.ndarray:
+    """values as a float array when it is a list of finite JSON numbers:
+    ints or floats, never bools or strings."""
+    try:
+        if type(values) is list and set(map(type, values)) <= {int, float}:
+            array = np.array(values, dtype=np.float64)
+            if np.isfinite(array).all():
+                return array
+    except OverflowError:  # an int past a double's range, such as 10**400
+        pass
+    raise MatrixFormatError(f"{what} must be finite JSON numbers")
+
+
+def _integer(value, what: str, positive: bool = False) -> int:
+    """value when it is a JSON integer (never a bool or a float), >= 1 if positive."""
+    if type(value) is not int or (positive and value < 1):
+        raise MatrixFormatError(f"{what} must be a {'positive ' * positive}JSON integer")
+    return value
+
+
+def _entries(entries, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols array of a JSON "entries" list of lists of finite JSON
+    numbers; on a fault, MatrixFormatError names the first bad row or entry."""
+    if type(entries) is not list or len(entries) != rows:
+        raise MatrixFormatError(f"'entries' must be a list of length {rows}")
+    for i, row in enumerate(entries, 1):
+        if type(row) is not list or len(row) != cols:
+            raise MatrixFormatError(f"row {i} must be a list of length {cols}")
+    flat = list(chain.from_iterable(entries))
+    try:
+        return _finite_numbers(flat, "entries").reshape(rows, cols)
+    except MatrixFormatError:
+        for k, value in enumerate(flat):
+            _finite_numbers([value], f"entries (row {k // cols + 1}, column {k % cols + 1})")
+        raise
+
+
+def _matrix(doc: dict) -> CoefficientMatrix:
+    rows, cols = (_integer(doc[key], repr(key), positive=True) for key in ("rows", "cols"))
+    return CoefficientMatrix(_entries(doc["entries"], rows, cols))
 
 
 def load_matrix(source: ByteSource) -> CoefficientMatrix:
@@ -93,60 +146,12 @@ def load_matrix(source: ByteSource) -> CoefficientMatrix:
     The document is an object {"rows": n, "cols": m, "entries": [[...], ...]}
     encoded as UTF-8 with no trailing data.  Round-trips save_matrix exactly.
     """
-    raw = _read_bytes(source)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MatrixFormatError(f"matrix document is not valid UTF-8: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFormatError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise MatrixFormatError("matrix document must be a JSON object")
-    for key in ("rows", "cols", "entries"):
-        if key not in doc:
-            raise MatrixFormatError(f"matrix document is missing the {key!r} field")
-    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    if not isinstance(rows, int) or isinstance(rows, bool) or rows < 1:
-        raise MatrixFormatError("'rows' must be a positive integer")
-    if not isinstance(cols, int) or isinstance(cols, bool) or cols < 1:
-        raise MatrixFormatError("'cols' must be a positive integer")
-    if not isinstance(entries, list) or len(entries) != rows:
-        raise MatrixFormatError(
-            f"'entries' must contain exactly {rows} rows, found "
-            f"{len(entries) if isinstance(entries, list) else 'a non-list value'}"
-        )
-    data = np.empty((rows, cols), dtype=np.float64)
-    for i, row in enumerate(entries):
-        if not isinstance(row, list):
-            raise MatrixFormatError(f"row {i + 1} is not an array")
-        if len(row) != cols:
-            raise MatrixFormatError(
-                f"ragged rows: row {i + 1} has {len(row)} entries, expected {cols}"
-            )
-        for j, value in enumerate(row):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise MatrixFormatError(
-                    f"entry at row {i + 1}, column {j + 1} is not a number"
-                )
-            if not abs(value) <= sys.float_info.max:  # exact for ints such as 10**400
-                raise MatrixFormatError(
-                    f"entry at row {i + 1}, column {j + 1} is not finite"
-                )
-            data[i, j] = value
-    return CoefficientMatrix(data)
+    return _read_document(source, "JSON matrix document", _matrix)
 
 
 def save_matrix(matrix: CoefficientMatrix, sink: BinaryIO) -> None:
     """Write the JSON matrix document format (UTF-8, exact float round trip)."""
-    doc = {
-        "rows": matrix.rows,
-        "cols": matrix.cols,
-        "entries": [[float(v) for v in row] for row in matrix.entries],
-    }
+    doc = {"rows": matrix.rows, "cols": matrix.cols, "entries": matrix.entries.tolist()}
     sink.write(json.dumps(doc).encode("utf-8"))
 
 

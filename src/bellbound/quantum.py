@@ -31,7 +31,7 @@ from .errors import (
     MatrixFormatError,
     SizeLimitError,
 )
-from .matrices import ByteSource, CoefficientMatrix, _read_bytes
+from .matrices import ByteSource, CoefficientMatrix, _finite_numbers, _read_document
 
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITERS = 10_000
@@ -123,6 +123,11 @@ def certificate_matrix(matrix: CoefficientMatrix, u: np.ndarray, v: np.ndarray) 
     return M
 
 
+def _min_eigenvalue(matrix: CoefficientMatrix, u: np.ndarray, v: np.ndarray) -> float:
+    """The smallest eigenvalue of M; the certificate holds when it is >= 0."""
+    return float(_kernels.jacobi_eigenvalues(certificate_matrix(matrix, u, v))[0])
+
+
 def _seeded_starts(n: int, m: int, r: int, restarts: int, seed: int):
     """Yield the stacked (xs, ys) starts of each sweep group, in restart order."""
     children = np.random.SeedSequence(seed).spawn(restarts)
@@ -192,10 +197,7 @@ def quantum_bound(
     objective, x, y, best_hist, converged = _best_primal(A, groups, max_iters, tol)
     u = np.linalg.norm(A @ y, axis=1)
     v = np.linalg.norm(A.T @ x, axis=1)
-    M = certificate_matrix(matrix, u, v)
-    min_eig = float(_kernels.jacobi_eigenvalues(M)[0])
-
-    dual = DualCertificate(u=u, v=v, min_eigenvalue=min_eig)
+    dual = DualCertificate(u=u, v=v, min_eigenvalue=_min_eigenvalue(matrix, u, v))
     return QuantumBoundResult(
         primal=GramSolution(x=x, y=y, objective=objective),
         dual=dual,
@@ -220,47 +222,29 @@ def check_dual(
             f"certificate has {certificate.v.size} column weights, expected {matrix.cols}"
         )
     _check_certificate_size(matrix)
-    M = certificate_matrix(matrix, certificate.u, certificate.v)
-    min_eig = float(_kernels.jacobi_eigenvalues(M)[0])
-    return min_eig >= -tol
+    return _min_eigenvalue(matrix, certificate.u, certificate.v) >= -tol
 
 
 def save_certificate(certificate: DualCertificate, sink: BinaryIO) -> None:
     doc = {
-        "u": [float(w) for w in certificate.u],
-        "v": [float(w) for w in certificate.v],
+        "u": certificate.u.tolist(),
+        "v": certificate.v.tolist(),
         "upper_bound": certificate.upper_bound,
         "min_eigenvalue": certificate.min_eigenvalue,
     }
     sink.write(json.dumps(doc).encode("utf-8"))
 
 
-def load_certificate(source: ByteSource) -> DualCertificate:
-    """Parse a save_certificate document; raise MatrixFormatError unless its
-    values are finite JSON numbers and its weights are nonnegative, with a
-    finite sum that gives its "upper_bound" bit for bit."""
-    try:
-        doc = json.loads(_read_bytes(source).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MatrixFormatError(f"invalid certificate document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MatrixFormatError("certificate document must be a JSON object")
-    try:
-        values = [*doc["u"], *doc["v"], doc["upper_bound"], doc["min_eigenvalue"]]
-        if not all(type(value) in (int, float) for value in values):
-            raise TypeError("certificate values must be JSON numbers")
-        u = np.array(doc["u"], dtype=np.float64)
-        v = np.array(doc["v"], dtype=np.float64)
-        upper = float(doc["upper_bound"])
-        min_eig = float(doc["min_eigenvalue"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MatrixFormatError(f"malformed certificate document: {exc}") from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(u.sum() + v.sum()) and np.isfinite(min_eig)
-    if not finite:
-        raise MatrixFormatError("certificate weights, sum and min_eigenvalue must be finite")
+def _certificate(doc: dict) -> DualCertificate:
+    u, v = (_finite_numbers(doc[key], "certificate weights") for key in ("u", "v"))
+    with np.errstate(over="ignore"):
+        if not np.isfinite(u.sum() + v.sum()):
+            raise MatrixFormatError("the sum of the certificate weights must be finite")
     if (u < 0).any() or (v < 0).any():
         raise MatrixFormatError("certificate weights must be nonnegative")
+    upper, min_eig = _finite_numbers(
+        [doc["upper_bound"], doc["min_eigenvalue"]], "'upper_bound' and 'min_eigenvalue'"
+    ).tolist()
     certificate = DualCertificate(u=u, v=v, min_eigenvalue=min_eig)
     if upper != certificate.upper_bound:
         raise MatrixFormatError(
@@ -268,3 +252,10 @@ def load_certificate(source: ByteSource) -> DualCertificate:
             f"(sum u + sum v) / 2 = {certificate.upper_bound!r}"
         )
     return certificate
+
+
+def load_certificate(source: ByteSource) -> DualCertificate:
+    """Parse a save_certificate document; raise MatrixFormatError unless its
+    values are finite JSON numbers and its weights are nonnegative, with a
+    finite sum that gives its "upper_bound" bit for bit."""
+    return _read_document(source, "certificate document", _certificate)

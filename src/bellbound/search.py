@@ -26,7 +26,7 @@ import numpy as np
 
 from .classical import classical_bound
 from .errors import DomainError, MatrixFormatError, SizeLimitError
-from .matrices import CoefficientMatrix
+from .matrices import CoefficientMatrix, _entries, _finite_numbers, _integer, _read_document
 from .quantum import _best_primal, _seeded_starts, quantum_bound
 
 MAX_SEARCH_SIZE = 12
@@ -55,7 +55,7 @@ class SearchRecord:
         return {
             "n": self.matrix.rows,
             "m": self.matrix.cols,
-            "entries": [[float(v) for v in row] for row in self.matrix.entries],
+            "entries": self.matrix.entries.tolist(),
             "ratio": self.ratio,
             "classical": self.classical,
             "quantum": self.quantum,
@@ -64,25 +64,28 @@ class SearchRecord:
         }
 
 
+def _record(doc: dict) -> SearchRecord:
+    n, m = (_integer(doc[key], repr(key), positive=True) for key in ("n", "m"))
+    classical, quantum, ratio = _finite_numbers(
+        [doc["classical"], doc["quantum"], doc["ratio"]], "'classical', 'quantum' and 'ratio'"
+    ).tolist()
+    record = SearchRecord(
+        matrix=CoefficientMatrix(_entries(doc["entries"], n, m)),
+        classical=classical,
+        quantum=quantum,
+        iteration_found=_integer(doc["iteration_found"], "'iteration_found'"),
+        seed=_integer(doc["seed"], "'seed'"),
+    )
+    if ratio != record.ratio:
+        raise MatrixFormatError(f"ratio {ratio!r} is not quantum / classical")
+    return record
+
+
 def record_from_json(line: str) -> SearchRecord:
-    """Parse one ledger line; raise MatrixFormatError if it is not a record
-    or its "ratio" is not bit-equal to quantum / classical."""
-    try:
-        doc = json.loads(line)
-        record = SearchRecord(
-            matrix=CoefficientMatrix(np.asarray(doc["entries"], dtype=np.float64)),
-            classical=float(doc["classical"]),
-            quantum=float(doc["quantum"]),
-            iteration_found=int(doc["iteration_found"]),
-            seed=int(doc["seed"]),
-        )
-        if float(doc["ratio"]) != record.ratio:
-            raise ValueError(f"ratio {doc['ratio']!r} is not quantum / classical")
-        return record
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise MatrixFormatError(
-            f"malformed ledger line {line[:80]!r}: {type(exc).__name__}: {exc}"
-        ) from exc
+    """Parse one ledger line; raise MatrixFormatError unless it is a record
+    of JSON integers and finite JSON numbers whose "ratio" is bit-equal to
+    quantum / classical."""
+    return _read_document(line, f"ledger line {line[:200]!r}", _record)
 
 
 def _evaluate(entries: np.ndarray, starts: list) -> tuple[float, float, float]:

@@ -23,15 +23,19 @@ from bellbound import (
 )
 from bellbound import cli, quantum
 from bellbound.cli import run
-from tests.test_search import FORGED_LEDGER_LINES, ledger_line
+from tests.test_search import FORGED_LEDGER_LINES, ODD_LEDGER_LINES, ledger_line
 
 REPORT_KEYS = {"command", "version", "inputs", "results"}
+
+
+def refuse_constant(name):
+    raise ValueError(f"report carries {name}, which is not JSON")
 
 
 def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
-    report = json.loads(captured.out)
+    report = json.loads(captured.out, parse_constant=refuse_constant)
     # Every report is one line of compact JSON.
     assert captured.out == json.dumps(report, separators=(",", ":")) + "\n"
     assert set(report) - {"reference_comparison"} == REPORT_KEYS
@@ -420,7 +424,9 @@ def test_huge_sweep_budget_exit_code(chsh_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "line, cause", [("not json", "JSONDecodeError"), ('{"n": 2}', "KeyError")]
+    "line, cause",
+    [("not json", "JSONDecodeError"), ('{"n": 2}', "KeyError")]
+    + [pytest.param(*case, id=name) for name, case in ODD_LEDGER_LINES.items()],
 )
 def test_malformed_ledger_line_exit_code(tmp_path, capsys, line, cause):
     # Each line used to exit 1 with a traceback from record_from_json.

@@ -11,11 +11,14 @@ from bellbound import (
     CoefficientMatrix,
     chsh_matrix,
     detect_family,
+    load_certificate,
     load_matrix,
+    record_from_json,
     save_matrix,
     tensor_power,
 )
 from bellbound.errors import MatrixFormatError, SizeLimitError
+from tests.test_search import record_line
 
 
 def matrix_to_bytes(matrix):
@@ -196,3 +199,24 @@ def test_constructor_rejects_sums_that_overflow():
     with pytest.raises(MatrixFormatError, match="too large"):
         CoefficientMatrix(np.full((2, 2), 1e154))
     assert CoefficientMatrix(np.full((2, 2), 1e153)).rows == 2
+
+
+# Raw JSON text that is not a finite JSON number.  Each loader refused some
+# of these with its own message, and a ledger line loaded "1" and true.
+NOT_FINITE_NUMBERS = {
+    "string": '"1"', "true": "true", "nan": "NaN", "infinity": "Infinity",
+    "1e400": "1e400", "10**400": "1" + "0" * 400,
+}
+
+
+@pytest.mark.parametrize("value", NOT_FINITE_NUMBERS.values(), ids=NOT_FINITE_NUMBERS.keys())
+def test_every_loader_refuses_the_same_values(value):
+    documents = [
+        (load_matrix, f'{{"rows": 1, "cols": 2, "entries": [[1, {value}]]}}'.encode()),
+        (load_certificate,
+         f'{{"u": [1, {value}], "v": [1], "upper_bound": 1.5, "min_eigenvalue": 0}}'.encode()),
+        (record_from_json, record_line(entries=f"[[1,{value}],[1,-1]]")),
+    ]
+    for load, document in documents:
+        with pytest.raises(MatrixFormatError, match="finite JSON numbers"):
+            load(document)

@@ -92,6 +92,40 @@ def test_record_from_json_refuses_a_ratio_its_bounds_do_not_give(
         assert record.ratio == objective / classical
 
 
+def record_line(**raw):
+    """A valid 2x2 ledger line of compact JSON, with the fields in raw given
+    as raw JSON text instead."""
+    fields = {"n": "2", "m": "2", "entries": "[[1,1],[1,-1]]", "ratio": "1.0",
+              "classical": "2.0", "quantum": "2.0", "iteration_found": "3", "seed": "0"}
+    fields.update(raw)
+    return "{" + ",".join(f'"{key}":{value}' for key, value in fields.items()) + "}"
+
+
+# Each of these lines loaded: entries, bounds and counters were coerced with
+# np.asarray, float() and int(), n was ignored, and "report" printed the
+# last one's "ratio":Infinity, which is not JSON.
+ODD_FIELDS = {
+    "entries": ({"entries": '[["1",true],[1,-1]]'}, "row 1, column 1"),
+    "classical": ({"classical": '"2"'}, "finite JSON numbers"),
+    "quantum": ({"quantum": "1e400", "ratio": "Infinity"}, "finite JSON numbers"),
+    "n": ({"n": "7"}, "length 7"),
+    "iteration_found": ({"iteration_found": '"3"'}, "'iteration_found' must be a JSON integer"),
+    "seed": ({"seed": "0.9"}, "'seed' must be a JSON integer"),
+}
+ODD_FIELDS["all"] = ({k: v for fields, _ in ODD_FIELDS.values() for k, v in fields.items()},
+                     "finite JSON numbers")
+ODD_LEDGER_LINES = {name: (record_line(**fields), cause)
+                    for name, (fields, cause) in ODD_FIELDS.items()}
+
+
+@pytest.mark.parametrize("line, cause", ODD_LEDGER_LINES.values(), ids=ODD_LEDGER_LINES.keys())
+def test_record_from_json_refuses_what_it_used_to_coerce(line, cause):
+    with pytest.raises(MatrixFormatError, match=cause):
+        record_from_json(line)
+    record = record_from_json(record_line())
+    assert (record.classical, record.quantum, record.iteration_found, record.seed) == (2.0, 2.0, 3, 0)
+
+
 def test_search_guards():
     with pytest.raises(SizeLimitError):
         ratio_search(13, 2, 10, seed=0)

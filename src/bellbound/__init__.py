@@ -18,16 +18,15 @@ __version__ = "0.1.0"
 from . import errors
 from .classical import (
     ClassicalBoundResult,
-    SignAssignment,
     classical_bound,
     evaluate_classical,
 )
 from .matrices import (
     CoefficientMatrix,
     chsh_matrix,
-    detect_family,
     load_matrix,
     save_matrix,
+    tensor_order,
     tensor_power,
 )
 from .operators import (
@@ -69,8 +68,7 @@ __all__ = [
     "tensor_power",
     "load_matrix",
     "save_matrix",
-    "detect_family",
-    "SignAssignment",
+    "tensor_order",
     "ClassicalBoundResult",
     "classical_bound",
     "evaluate_classical",

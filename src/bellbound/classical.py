@@ -24,30 +24,25 @@ from .matrices import CoefficientMatrix
 WORK_LIMIT = 28 << 27  # sums in a 28 x 28 scan
 
 
-@dataclass(frozen=True)
-class SignAssignment:
-    """A pair of +-1 vectors together with the bilinear value they attain."""
-
-    s: np.ndarray
-    t: np.ndarray
-    value: float
-
-    def __post_init__(self) -> None:
-        for name in ("s", "t"):
-            arr = np.array(getattr(self, name), dtype=np.int8)
-            if arr.ndim != 1 or not np.all(np.abs(arr) == 1):
-                raise DomainError(f"sign vector {name!r} must contain only +1 and -1")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+def _check_signs(name: str, signs) -> None:
+    if np.ndim(signs) != 1 or not np.all(np.abs(signs) == 1):
+        raise DomainError(f"sign vector {name!r} must contain only +1 and -1")
 
 
 @dataclass(frozen=True)
 class ClassicalBoundResult:
-    witness: SignAssignment
+    """The exact classical bound with sign vectors s, t attaining it."""
 
-    @property
-    def bound(self) -> float:
-        return self.witness.value
+    s: np.ndarray
+    t: np.ndarray
+    bound: float
+
+    def __post_init__(self) -> None:
+        for name in ("s", "t"):
+            _check_signs(name, getattr(self, name))
+            arr = np.array(getattr(self, name), dtype=np.int8)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def evaluate_classical(
@@ -64,10 +59,8 @@ def evaluate_classical(
         raise DimensionMismatchError(
             f"sign vector t has length {tv.size}, expected {matrix.cols}"
         )
-    if not np.all(np.abs(sv) == 1.0):
-        raise DomainError("sign vector s must contain only +1 and -1")
-    if not np.all(np.abs(tv) == 1.0):
-        raise DomainError("sign vector t must contain only +1 and -1")
+    _check_signs("s", sv)
+    _check_signs("t", tv)
     return float(sv @ matrix.entries @ tv)
 
 
@@ -95,5 +88,4 @@ def classical_bound(matrix: CoefficientMatrix) -> ClassicalBoundResult:
     value = float(col @ t)
     if flip:
         s, t = t, s
-    witness = SignAssignment(s=s.astype(np.int8), t=t.astype(np.int8), value=value)
-    return ClassicalBoundResult(witness=witness)
+    return ClassicalBoundResult(s=s.astype(np.int8), t=t.astype(np.int8), bound=value)

@@ -27,9 +27,9 @@ from .errors import BellboundError
 from .matrices import (
     CoefficientMatrix,
     chsh_matrix,
-    detect_family,
     load_matrix,
     save_matrix,
+    tensor_order,
     tensor_power,
 )
 from .operators import (
@@ -131,12 +131,6 @@ def _load_matrix_file(path: str) -> CoefficientMatrix:
         return load_matrix(handle)
 
 
-def _order(matrix: CoefficientMatrix) -> Optional[int]:
-    """The tensor-power order of a built-in matrix, else None."""
-    family = detect_family(matrix)
-    return None if family is None else family[1]
-
-
 def _cmd_generate(args) -> int:
     if args.family == "chsh":
         matrix = chsh_matrix()
@@ -155,12 +149,12 @@ def _cmd_classical(args) -> int:
     results = {
         "bound": result.bound,
         "witness": {
-            "s": result.witness.s.tolist(),
-            "t": result.witness.t.tolist(),
-            "value": result.witness.value,
+            "s": result.s.tolist(),
+            "t": result.t.tolist(),
+            "value": result.bound,
         },
     }
-    _emit(_report(args, results, _order(matrix), result.bound))
+    _emit(_report(args, results, tensor_order(matrix), result.bound))
     return 0
 
 
@@ -180,14 +174,14 @@ def _cmd_quantum(args) -> int:
         "objective": result.primal.objective,
         "upper_bound": result.dual.upper_bound,
         "gap": result.gap,
-        "min_eigenvalue": result.dual.min_eigenvalue,
+        "min_eigenvalue": result.min_eigenvalue,
         "converged": result.converged,
         "gram_dimension": result.primal.dimension,
         "sweeps": (len(result.objective_history) - 1) // 2,
     }
     if args.cert_out:
         results["certificate_path"] = args.cert_out
-    _emit(_report(args, results, _order(matrix), result.primal.objective))
+    _emit(_report(args, results, tensor_order(matrix), result.primal.objective))
     if args.strict and not result.converged:
         print("quantum bound did not converge", file=sys.stderr)
         return NOT_CONVERGED
@@ -204,7 +198,7 @@ def _cmd_expand(args) -> int:
         "norm_bound": bound,
         "commuting_sites": args.commuting,
     }
-    report = _report(args, results, _order(matrix), bound)
+    report = _report(args, results, tensor_order(matrix), bound)
     _emit(report, splice=shown.to_json())
     return 0
 

@@ -155,14 +155,10 @@ def save_matrix(matrix: CoefficientMatrix, sink: BinaryIO) -> None:
     sink.write(json.dumps(doc).encode("utf-8"))
 
 
-def detect_family(matrix: CoefficientMatrix) -> Optional[tuple[str, int]]:
-    """Recognize built-in matrices: ("chsh", 1) or ("tensor", d), else None."""
-    n, m = matrix.rows, matrix.cols
-    if n != m or n < 2:
-        return None
+def tensor_order(matrix: CoefficientMatrix) -> Optional[int]:
+    """The order d of a built-in matrix tensor_power(d), 1 for CHSH, else None."""
+    n = matrix.rows
     d = n.bit_length() - 1
-    if (1 << d) != n or d > MAX_TENSOR_POWER:
+    if matrix.cols != n or n != 1 << d or not 1 <= d <= MAX_TENSOR_POWER:
         return None
-    if not np.array_equal(matrix.entries, tensor_power(d).entries):
-        return None
-    return ("chsh", 1) if d == 1 else ("tensor", d)
+    return d if np.array_equal(matrix.entries, tensor_power(d).entries) else None

@@ -66,7 +66,6 @@ class DualCertificate:
 
     u: np.ndarray
     v: np.ndarray
-    min_eigenvalue: float
 
     def __post_init__(self) -> None:
         for name in ("u", "v"):
@@ -82,8 +81,15 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class QuantumBoundResult:
+    """The best Gram solution ``primal``, its weights ``dual``, the smallest
+    eigenvalue ``min_eigenvalue`` of their certificate matrix M, ``converged``
+    and the best restart's ``objective_history``.  ``converged`` tests only
+    the stopping rule and the primal-dual gap, never ``min_eigenvalue``: when
+    that is negative, M is not PSD and ``dual`` certifies no upper bound."""
+
     primal: GramSolution
     dual: DualCertificate
+    min_eigenvalue: float
     converged: bool
     objective_history: np.ndarray
 
@@ -197,10 +203,11 @@ def quantum_bound(
     objective, x, y, best_hist, converged = _best_primal(A, groups, max_iters, tol)
     u = np.linalg.norm(A @ y, axis=1)
     v = np.linalg.norm(A.T @ x, axis=1)
-    dual = DualCertificate(u=u, v=v, min_eigenvalue=_min_eigenvalue(matrix, u, v))
+    dual = DualCertificate(u=u, v=v)
     return QuantumBoundResult(
         primal=GramSolution(x=x, y=y, objective=objective),
         dual=dual,
+        min_eigenvalue=_min_eigenvalue(matrix, u, v),
         converged=bool(converged and dual.upper_bound - objective <= tol),
         objective_history=best_hist,
     )
@@ -230,7 +237,6 @@ def save_certificate(certificate: DualCertificate, sink: BinaryIO) -> None:
         "u": certificate.u.tolist(),
         "v": certificate.v.tolist(),
         "upper_bound": certificate.upper_bound,
-        "min_eigenvalue": certificate.min_eigenvalue,
     }
     sink.write(json.dumps(doc).encode("utf-8"))
 
@@ -242,10 +248,8 @@ def _certificate(doc: dict) -> DualCertificate:
             raise MatrixFormatError("the sum of the certificate weights must be finite")
     if (u < 0).any() or (v < 0).any():
         raise MatrixFormatError("certificate weights must be nonnegative")
-    upper, min_eig = _finite_numbers(
-        [doc["upper_bound"], doc["min_eigenvalue"]], "'upper_bound' and 'min_eigenvalue'"
-    ).tolist()
-    certificate = DualCertificate(u=u, v=v, min_eigenvalue=min_eig)
+    [upper] = _finite_numbers([doc["upper_bound"]], "'upper_bound'").tolist()
+    certificate = DualCertificate(u=u, v=v)
     if upper != certificate.upper_bound:
         raise MatrixFormatError(
             f"certificate states upper_bound {upper!r}, but its weights give "
@@ -257,5 +261,6 @@ def _certificate(doc: dict) -> DualCertificate:
 def load_certificate(source: ByteSource) -> DualCertificate:
     """Parse a save_certificate document; raise MatrixFormatError unless its
     values are finite JSON numbers and its weights are nonnegative, with a
-    finite sum that gives its "upper_bound" bit for bit."""
+    finite sum that gives its "upper_bound" bit for bit.  Other keys, such as
+    the "min_eigenvalue" of older files, are ignored."""
     return _read_document(source, "certificate document", _certificate)

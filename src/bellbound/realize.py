@@ -1,4 +1,4 @@
-"""Explicit observables and states realizing a Gram solution.
+"""Explicit observables realizing a Gram solution.
 
 Given unit Gram vectors x_k, y_l in dimension r, the observables
 
@@ -15,10 +15,10 @@ the single normative convention used throughout.  r generators fit on
 D = 2^floor(r/2): for odd r = 2k+1 the last one is Z^(x)k (Tsirelson, Lett.
 Math. Phys. 4, 1980).
 
-The state is stored as a D^2-vector psi, never as a density matrix, and no
-D^2 x D^2 operator is built: with Psi = psi reshaped to D x D (first site on
-rows), (X (x) conj(Y)) psi reshapes to X Psi Y^H, so every correlation is the
-D x D trace Tr(Psi^H X Psi Y^H).
+The state is always |Phi> = vec(I)/sqrt(D), so a realization stores only
+its observables, and no D^2 x D^2 operator is built: every correlation is
+the D x D trace Tr(X_k Y_l^H) / D, one entrywise inner product of the two
+flattened observables.
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 @dataclass(frozen=True)
 class ObservableRealization:
-    """Explicit observables plus a bipartite state vector of length D^2."""
+    """Explicit D x D observables of both sites, on the maximally entangled state."""
 
     x_observables: np.ndarray
     y_observables: np.ndarray
-    state: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("x_observables", "y_observables", "state"):
+        for name in ("x_observables", "y_observables"):
             arr = np.array(getattr(self, name), dtype=np.complex128)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -98,7 +97,7 @@ def maximally_entangled_state(dim: int) -> np.ndarray:
 
 
 def realize(matrix: CoefficientMatrix, gram: GramSolution) -> ObservableRealization:
-    """Observables and state whose correlations equal the Gram inner products.
+    """Observables whose correlations equal the Gram inner products.
 
     Raises SizeLimitError, before any array is built, when the observables
     would store more than REALIZE_LIMIT entries, (n + m) * D^2.
@@ -127,28 +126,19 @@ def realize(matrix: CoefficientMatrix, gram: GramSolution) -> ObservableRealizat
     gens = clifford_generators(r)
     x_obs = np.tensordot(gram.x, gens, axes=(1, 0))
     y_obs = np.tensordot(gram.y, gens, axes=(1, 0))
-    state = maximally_entangled_state(dim)
-    return ObservableRealization(
-        x_observables=x_obs, y_observables=y_obs, state=state
-    )
+    return ObservableRealization(x_observables=x_obs, y_observables=y_obs)
 
 
 def correlation_matrix(realization: ObservableRealization) -> np.ndarray:
-    """All pair correlations <psi| X_k (x) conj(Y_l) |psi> of the stored state."""
+    """All pair correlations <Phi| X_k (x) conj(Y_l) |Phi> = Tr(X_k Y_l^H) / D."""
     dim = realization.dim
-    psi = realization.state.reshape(dim, dim)
-    return np.einsum(
-        "ab,kac,cd,lbd->kl",
-        psi.conj(),
-        realization.x_observables,
-        psi,
-        realization.y_observables.conj(),
-        optimize=True,
-    ).real
+    x = realization.x_observables.reshape(-1, dim * dim)
+    y = realization.y_observables.reshape(-1, dim * dim)
+    return (x @ y.conj().T).real / dim
 
 
 def bell_value(realization: ObservableRealization, matrix: CoefficientMatrix) -> float:
-    """<psi| sum_kl A[k,l] X_k (x) conj(Y_l) |psi>."""
+    """<Phi| sum_kl A[k,l] X_k (x) conj(Y_l) |Phi>."""
     n = realization.x_observables.shape[0]
     m = realization.y_observables.shape[0]
     if (n, m) != (matrix.rows, matrix.cols):
@@ -174,5 +164,5 @@ def realization_to_json(realization: ObservableRealization) -> dict:
         },
         "x_observables": encode(realization.x_observables),
         "y_observables": encode(realization.y_observables),
-        "state": encode(realization.state),
+        "state": encode(maximally_entangled_state(realization.dim)),
     }

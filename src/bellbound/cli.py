@@ -41,7 +41,7 @@ from .operators import (
 from .quantum import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL
 from .quantum import quantum_bound, save_certificate
 from .realize import bell_value, correlation_matrix, realization_to_json, realize
-from .search import ratio_search, record_from_json
+from .search import _check_arguments, ratio_search, record_from_json
 
 DOMAIN_ERROR = 3
 NOT_CONVERGED = 4
@@ -177,7 +177,7 @@ def _cmd_quantum(args) -> int:
         "min_eigenvalue": result.min_eigenvalue,
         "converged": result.converged,
         "gram_dimension": result.primal.dimension,
-        "sweeps": (len(result.objective_history) - 1) // 2,
+        "sweeps": result.sweeps,
     }
     if args.cert_out:
         results["certificate_path"] = args.cert_out
@@ -246,6 +246,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    _check_arguments(args.n, args.m, args.iters)  # a refused search makes no ledger
     sink = open(args.ledger, "a", encoding="utf-8") if args.ledger else None
     try:
         best = ratio_search(

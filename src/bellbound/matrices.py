@@ -17,10 +17,21 @@ import numpy as np
 
 from .errors import MatrixFormatError, SizeLimitError
 
-MAX_TENSOR_POWER = 12
+# No command accepts a larger matrix (quantum refuses d >= 11, whose
+# certificate is 4096 x 4096), yet generate --d 12 peaked near 1 GB of RSS
+# and wrote a 90 MB file.
+MAX_TENSOR_POWER = 10
 
 ByteSource = Union[bytes, bytearray, memoryview, BinaryIO]
 T = TypeVar("T")
+
+
+def _freeze(result, dtype, *names: str) -> None:
+    """Store each named field of a frozen dataclass as a read-only dtype copy."""
+    for name in names:
+        arr = np.array(getattr(result, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(result, name, arr)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,7 +31,7 @@ from .errors import (
     MatrixFormatError,
     SizeLimitError,
 )
-from .matrices import ByteSource, CoefficientMatrix, _finite_numbers, _read_document
+from .matrices import ByteSource, CoefficientMatrix, _finite_numbers, _freeze, _read_document
 
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITERS = 10_000
@@ -50,10 +50,7 @@ class GramSolution:
     objective: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, np.float64, "x", "y")
 
     @property
     def dimension(self) -> int:
@@ -68,10 +65,7 @@ class DualCertificate:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("u", "v"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, np.float64, "u", "v")
 
     @property
     def upper_bound(self) -> float:
@@ -83,15 +77,16 @@ class DualCertificate:
 class QuantumBoundResult:
     """The best Gram solution ``primal``, its weights ``dual``, the smallest
     eigenvalue ``min_eigenvalue`` of their certificate matrix M, ``converged``
-    and the best restart's ``objective_history``.  ``converged`` tests only
-    the stopping rule and the primal-dual gap, never ``min_eigenvalue``: when
-    that is negative, M is not PSD and ``dual`` certifies no upper bound."""
+    and the number of full ``sweeps`` the best restart ran.  ``converged``
+    tests only the stopping rule and the primal-dual gap, never
+    ``min_eigenvalue``: when that is negative, M is not PSD and ``dual``
+    certifies no upper bound."""
 
     primal: GramSolution
     dual: DualCertificate
     min_eigenvalue: float
     converged: bool
-    objective_history: np.ndarray
+    sweeps: int
 
     @property
     def gap(self) -> float:
@@ -148,15 +143,16 @@ def _seeded_starts(n: int, m: int, r: int, restarts: int, seed: int):
 
 
 def _best_primal(A: np.ndarray, groups, max_iters: int, tol: float):
-    """Sweep each group of starts in place.  Returns (objective, x, y, history,
-    converged) of the first restart with the highest final objective."""
+    """Sweep each group of starts.  Returns (GramSolution, sweeps, converged)
+    of the first restart with the highest final objective."""
     best = None
     for xs, ys in groups:
-        hists, run_converged = _kernels.alternating_sweeps(A, xs, ys, max_iters, tol)
-        for i, hist in enumerate(hists):
-            if best is None or hist[-1] > best[2][-1]:
-                best = xs[i], ys[i], hist, run_converged[i]
-    return (_bilinear(A, best[0], best[1]),) + best
+        x, y, final, sweeps, converged = _kernels.alternating_sweeps(A, xs, ys, max_iters, tol)
+        i = int(final.argmax())
+        if best is None or final[i] > best[0]:
+            best = final[i], x[i], y[i], int(sweeps[i]), bool(converged[i])
+    _, x, y, sweeps, converged = best
+    return GramSolution(x=x, y=y, objective=_bilinear(A, x, y)), sweeps, converged
 
 
 def quantum_bound(
@@ -200,16 +196,16 @@ def quantum_bound(
     _check_certificate_size(matrix)
 
     groups = _seeded_starts(n, m, r, restarts, seed)
-    objective, x, y, best_hist, converged = _best_primal(A, groups, max_iters, tol)
-    u = np.linalg.norm(A @ y, axis=1)
-    v = np.linalg.norm(A.T @ x, axis=1)
+    primal, sweeps, converged = _best_primal(A, groups, max_iters, tol)
+    u = np.linalg.norm(A @ primal.y, axis=1)
+    v = np.linalg.norm(A.T @ primal.x, axis=1)
     dual = DualCertificate(u=u, v=v)
     return QuantumBoundResult(
-        primal=GramSolution(x=x, y=y, objective=objective),
+        primal=primal,
         dual=dual,
         min_eigenvalue=_min_eigenvalue(matrix, u, v),
-        converged=bool(converged and dual.upper_bound - objective <= tol),
-        objective_history=best_hist,
+        converged=converged and dual.upper_bound - primal.objective <= tol,
+        sweeps=sweeps,
     )
 
 

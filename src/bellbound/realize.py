@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
-from .matrices import CoefficientMatrix
+from .matrices import CoefficientMatrix, _freeze
 from .quantum import GramSolution
 
 MAX_GENERATORS = 12
@@ -47,10 +47,7 @@ class ObservableRealization:
     y_observables: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("x_observables", "y_observables"):
-            arr = np.array(getattr(self, name), dtype=np.complex128)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, np.complex128, "x_observables", "y_observables")
 
     @property
     def dim(self) -> int:

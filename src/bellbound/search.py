@@ -8,10 +8,10 @@ small ones polish.  The best matrix is normalized to unit max-entry before
 perturbing (the ratio is scale-invariant) and every tenth climb step moves
 all entries at once.  In-loop quantum bounds use reduced settings and one
 fixed evaluation seed per search, which keeps the acceptance test free of
-solver noise; their starts are drawn once per search, each evaluation sweeps
-a fresh copy (the sweeps overwrite it), and no in-loop solve builds a
-certificate.  The returned best record is re-verified by a full
-``quantum_bound`` at default settings.
+solver noise; their starts are drawn once per search and shared by every
+evaluation, and no in-loop solve builds a certificate.  The quantum value of
+the returned best record is re-verified by a full ``quantum_bound`` at
+default settings; its classical value is exact already.
 Every improvement can be appended to a JSON-lines leaderboard.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Optional
 
 import numpy as np
@@ -93,9 +93,18 @@ def _evaluate(entries: np.ndarray, starts: list) -> tuple[float, float, float]:
     classical = classical_bound(matrix).bound
     if classical <= 0.0:
         return -math.inf, classical, 0.0
-    fresh = [(xs.copy(), ys.copy()) for xs, ys in starts]  # the sweeps write in place
-    quantum = _best_primal(matrix.entries, fresh, LOOP_MAX_ITERS, LOOP_TOL)[0]
+    quantum = _best_primal(matrix.entries, starts, LOOP_MAX_ITERS, LOOP_TOL)[0].objective
     return quantum / classical, classical, quantum
+
+
+def _check_arguments(n: int, m: int, iterations: int) -> None:
+    """Raise as ratio_search would on these arguments, before it does any work."""
+    if n < 1 or m < 1 or n > MAX_SEARCH_SIZE or m > MAX_SEARCH_SIZE:
+        raise SizeLimitError(
+            f"search supports sizes 1..{MAX_SEARCH_SIZE} per side, got {n}x{m}"
+        )
+    if iterations < 1:
+        raise DomainError("iteration budget must be at least 1")
 
 
 def ratio_search(
@@ -113,13 +122,7 @@ def ratio_search(
     extends the stream.  Each new best is appended to ``record_sink`` as one
     JSON line, as is the final re-verified record.
     """
-    if n < 1 or m < 1 or n > MAX_SEARCH_SIZE or m > MAX_SEARCH_SIZE:
-        raise SizeLimitError(
-            f"search supports sizes 1..{MAX_SEARCH_SIZE} per side, got {n}x{m}"
-        )
-    if iterations < 1:
-        raise DomainError("iteration budget must be at least 1")
-
+    _check_arguments(n, m, iterations)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     starts = list(_seeded_starts(n, m, min(n, m), LOOP_RESTARTS, seed))
     best: Optional[SearchRecord] = None
@@ -160,14 +163,6 @@ def ratio_search(
     if best is None:
         raise DomainError("the search produced no usable candidate")
 
-    classical = classical_bound(best.matrix).bound
-    quantum = quantum_bound(best.matrix, seed=seed).primal.objective
-    final = SearchRecord(
-        matrix=best.matrix,
-        classical=classical,
-        quantum=quantum,
-        iteration_found=best.iteration_found,
-        seed=seed,
-    )
+    final = replace(best, quantum=quantum_bound(best.matrix, seed=seed).primal.objective)
     emit(final)
     return final

@@ -18,6 +18,7 @@ import bellbound as bb
 from bellbound.cli import run as cli_run
 from tests.expansion_oracle import numeric_check
 from tests.test_operators import R4_ACOMM_TERMS, R4_COMM_TERMS, as_dict
+from tests.test_quantum import assert_sweep_budget_ladder
 
 SQRT2 = math.sqrt(2.0)
 
@@ -227,7 +228,7 @@ def naive_double_loop_bound(entries):
     return float(np.abs(signs_s @ entries @ signs_t.T).max())
 
 
-def test_criterion_11_property_suites(chsh_run, r4_run):
+def test_criterion_11_property_suites():
     rng = np.random.default_rng(2024)
     for _ in range(100):
         n = int(rng.integers(1, 7))
@@ -249,10 +250,11 @@ def test_criterion_11_property_suites(chsh_run, r4_run):
             naive_double_loop_bound(matrix.entries), rel=1e-12
         )
 
-    for history in (chsh_run.objective_history, r4_run.objective_history):
-        assert np.all(np.diff(history) >= -1e-9)
+    # The criterion 2 and 8 matrices and seed, one restart each.
+    stops = [assert_sweep_budget_ladder(m, seed=1) for m in (bb.chsh_matrix(), bb.tensor_power(2))]
     tell(
         "PASS criterion 11: sandwich holds on 100 random matrices, Gray-code "
         "scan equals the naive double loop on 10 matrices up to 8x8, and the "
-        "alternating objective is monotone on the criterion 2 and 8 runs"
+        "alternating objective never falls as the sweep budget grows on the "
+        f"criterion 2 and 8 matrices (stopping sweeps {stops})"
     )

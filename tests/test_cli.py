@@ -339,6 +339,20 @@ def test_search_and_report(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [["--n", "13", "--m", "2", "--iters", "5"],
+                                  ["--n", "2", "--m", "2", "--iters", "0"]],
+                         ids=["size", "budget"])
+def test_refused_search_leaves_the_ledger_alone(tmp_path, capsys, argv):
+    # A refused search used to create an empty ledger file.
+    ledger = tmp_path / "ledger.jsonl"
+    assert run(["search"] + argv + ["--ledger", str(ledger)]) == 3
+    assert not ledger.exists()
+    ledger.write_bytes(b"kept bytes\n")
+    assert run(["search"] + argv + ["--ledger", str(ledger)]) == 3
+    assert ledger.read_bytes() == b"kept bytes\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_identical_invocations_identical_reports(capsys):
     run(["estimate", "--d", "4", "--normalized"])
     first = capsys.readouterr().out
@@ -385,6 +399,17 @@ def test_size_guard_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "error" in captured.err
+
+
+def test_generate_refuses_an_order_no_command_accepts(tmp_path, capsys):
+    # generate --d 12 used to write a 90 MB file near a 1 GB peak.
+    path = tmp_path / "never.json"
+    code = run(["generate", "--family", "tensor", "--d", "11", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "between 1 and 10" in captured.err
+    assert not path.exists()
 
 
 def test_expand_size_guard_exit_code(tmp_path, capsys):

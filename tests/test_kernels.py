@@ -63,18 +63,22 @@ def unit_starts(rng, restarts, rows, r):
 
 
 def assert_matches_loop(A, x, y, max_iters, tol):
-    # Stacked sweeps equal per-restart loops bit for bit: histories,
-    # converged flags and final vectors.
+    # Stacked sweeps equal per-restart loops bit for bit: final vectors,
+    # final objectives, sweep counts and stop flags.  The kernel leaves its
+    # starts as they were.
+    x0, y0 = x.copy(), y.copy()
     xr, yr = x.copy(), y.copy()
     ref = [loop_sweeps(A, xr[i], yr[i], max_iters, tol) for i in range(len(x))]
-    hists, converged = _kernels.alternating_sweeps(A, x, y, max_iters, tol)
-    assert len(hists) == len(ref) == converged.shape[0]
+    xf, yf, final, sweeps, converged = _kernels.alternating_sweeps(A, x, y, max_iters, tol)
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    assert final.shape == sweeps.shape == converged.shape == (len(ref),)
     for i, (hist, conv) in enumerate(ref):
-        assert np.array_equal(hists[i], hist)
+        assert final[i] == hist[-1]
+        assert sweeps[i] == (len(hist) - 1) // 2
         assert converged[i] == conv
-    assert np.array_equal(x, xr)
-    assert np.array_equal(y, yr)
-    return hists, converged
+    assert np.array_equal(xf, xr)
+    assert np.array_equal(yf, yr)
+    return xf, yf, sweeps, converged
 
 
 def test_gray_signs_reconstruction():
@@ -121,9 +125,10 @@ def test_alternating_sweeps_zero_matrix_converges():
     A = np.zeros((2, 3))
     x = np.eye(2)[None].copy()
     y = np.eye(3)[None, :, :2].copy()
-    hists, converged = _kernels.alternating_sweeps(A, x, y, 10, 1e-9)
+    _, _, final, sweeps, converged = _kernels.alternating_sweeps(A, x, y, 10, 1e-9)
     assert converged.tolist() == [True]
-    assert hists[0][-1] == 0.0
+    assert sweeps.tolist() == [1]
+    assert final.tolist() == [0.0]
 
 
 @pytest.mark.parametrize(
@@ -135,9 +140,9 @@ def test_stacked_sweeps_match_loop_on_gaussian(shape):
     r = min(n, m)
     A = rng.standard_normal(shape)
     x, y = unit_starts(rng, 16, n, r), unit_starts(rng, 16, m, r)
-    hists, converged = assert_matches_loop(A, x, y, 10_000, 1e-7)
+    _, _, sweeps, converged = assert_matches_loop(A, x, y, 10_000, 1e-7)
     # The restarts stop at different sweeps, so rows leave the stack early.
-    assert len({len(h) for h in hists}) > 1
+    assert len(set(sweeps.tolist())) > 1
     assert converged.all()
 
 
@@ -147,11 +152,10 @@ def test_stacked_sweeps_match_loop_with_vanishing_updates():
     A[2] = 0.0
     A[:, 3] = 0.0
     x, y = unit_starts(rng, 8, 6, 5), unit_starts(rng, 8, 5, 5)
-    x0, y0 = x.copy(), y.copy()
-    assert_matches_loop(A, x, y, 10_000, 1e-7)
+    xf, yf, _, _ = assert_matches_loop(A, x, y, 10_000, 1e-7)
     # The zero row and column keep their starting vectors.
-    assert np.array_equal(x[:, 2], x0[:, 2])
-    assert np.array_equal(y[:, 3], y0[:, 3])
+    assert np.array_equal(xf[:, 2], x[:, 2])
+    assert np.array_equal(yf[:, 3], y[:, 3])
 
 
 @pytest.mark.parametrize("max_iters, tol", [(10_000, 1e-7), (0, 1e-7), (1, 1e-7), (50, 0.0)])
@@ -160,8 +164,8 @@ def test_stacked_sweeps_match_loop_on_budgets(max_iters, tol, r):
     rng = np.random.default_rng(r)
     A = rng.standard_normal((5, 4))
     x, y = unit_starts(rng, 6, 5, r), unit_starts(rng, 6, 4, r)
-    hists, _ = assert_matches_loop(A, x, y, max_iters, tol)
-    assert all(len(h) <= 2 * max_iters + 1 for h in hists)
+    _, _, sweeps, _ = assert_matches_loop(A, x, y, max_iters, tol)
+    assert (sweeps <= max_iters).all()
 
 
 def test_jacobi_trivial_sizes():

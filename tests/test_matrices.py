@@ -17,7 +17,9 @@ from bellbound import (
     tensor_order,
     tensor_power,
 )
+from bellbound import quantum
 from bellbound.errors import MatrixFormatError, SizeLimitError
+from bellbound.matrices import MAX_TENSOR_POWER
 from tests.test_search import record_line
 
 
@@ -61,7 +63,7 @@ def test_tensor_power_d3_row_sums():
     assert np.array_equal(sums[1:], np.zeros(7))
 
 
-@pytest.mark.parametrize("d", range(1, 13))
+@pytest.mark.parametrize("d", range(1, 11))
 def test_tensor_power_orthogonality(d):
     r = tensor_power(d).entries
     assert np.all(np.abs(r) == 1.0)
@@ -80,10 +82,20 @@ def test_tensor_power_matches_bitwise_construction(d):
     assert np.array_equal(tensor_power(d).entries, hadamard_bitwise(d))
 
 
-@pytest.mark.parametrize("d", [0, -1, 13, 100])
+@pytest.mark.parametrize("d", [0, -1, 11, 12, 13, 100])
 def test_tensor_power_size_guard(d):
     with pytest.raises(SizeLimitError):
         tensor_power(d)
+
+
+def test_tensor_power_guard_is_the_largest_order_quantum_accepts():
+    # tensor_power(10) is 1024 x 1024, whose certificate is exactly at the
+    # quantum limit; order 11 is one no command accepts.
+    assert MAX_TENSOR_POWER == 10
+    assert (2 * 2**10) ** 2 == quantum.CERTIFICATE_LIMIT
+    assert tensor_power(10).entries.shape == (1024, 1024)
+    with pytest.raises(SizeLimitError, match="between 1 and 10, got 11"):
+        tensor_power(11)
 
 
 def test_round_trip_chsh():

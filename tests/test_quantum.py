@@ -77,12 +77,26 @@ def test_gram_invariants():
     assert result.primal.objective == pytest.approx(recomputed, rel=1e-10)
 
 
-def test_objective_history_is_monotone():
+def assert_sweep_budget_ladder(matrix, seed, extra=2):
+    # One restart's run with a budget of k sweeps is the first k sweeps of
+    # its full run: the sweep count is min(k, the stopping sweep), and the
+    # objective never falls as k grows (up to 1e-9 of rounding).
+    full = quantum_bound(matrix, restarts=1, seed=seed)
+    assert 0 < full.sweeps < quantum.DEFAULT_MAX_ITERS  # the stopping test fired
+    previous = -math.inf
+    for k in range(full.sweeps + extra + 1):
+        result = quantum_bound(matrix, restarts=1, max_iters=k, seed=seed)
+        assert result.sweeps == min(k, full.sweeps)
+        assert result.primal.objective >= previous - 1e-9
+        previous = result.primal.objective
+    assert result.primal.objective == full.primal.objective
+    return full.sweeps
+
+
+def test_sweep_budget_ladder_is_monotone():
     for seed in range(4):
-        result = quantum_bound(chsh_matrix(), seed=seed)
-        assert np.all(np.diff(result.objective_history) >= -1e-9)
-        result = quantum_bound(tensor_power(2), seed=seed)
-        assert np.all(np.diff(result.objective_history) >= -1e-9)
+        assert_sweep_budget_ladder(chsh_matrix(), seed)
+        assert_sweep_budget_ladder(tensor_power(2), seed)
 
 
 def test_determinism_given_seed_and_restarts():
@@ -156,7 +170,7 @@ def assert_same_result(a, b):
     assert np.array_equal(a.primal.y, b.primal.y)
     assert np.array_equal(a.dual.u, b.dual.u)
     assert np.array_equal(a.dual.v, b.dual.v)
-    assert np.array_equal(a.objective_history, b.objective_history)
+    assert a.sweeps == b.sweeps
     assert (a.primal.objective, a.dual.upper_bound, a.min_eigenvalue) == (
         b.primal.objective,
         b.dual.upper_bound,
@@ -409,11 +423,9 @@ def test_primal_stage_is_bitwise_quantum_bound_primal(
     assert [len(xs) for xs, _ in groups] == [
         min(per_group, restarts - k) for k in range(0, restarts, per_group)
     ]
-    objective, x, y, hist, converged = quantum._best_primal(
-        matrix.entries, groups, max_iters, tol
-    )
-    assert objective == result.primal.objective
-    assert np.array_equal(x, result.primal.x)
-    assert np.array_equal(y, result.primal.y)
-    assert np.array_equal(hist, result.objective_history)
-    assert bool(converged and result.gap <= tol) == result.converged
+    primal, sweeps, converged = quantum._best_primal(matrix.entries, groups, max_iters, tol)
+    assert primal.objective == result.primal.objective
+    assert np.array_equal(primal.x, result.primal.x)
+    assert np.array_equal(primal.y, result.primal.y)
+    assert sweeps == result.sweeps
+    assert (converged and result.gap <= tol) == result.converged

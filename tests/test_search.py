@@ -165,6 +165,22 @@ def test_primal_only_loop_writes_the_quantum_bound_ledger(monkeypatch, n, iterat
     assert search_ledger(n, n, iterations, seed) == primal_only
 
 
+def test_classical_bound_runs_once_per_candidate(monkeypatch):
+    # The final record keeps the best candidate's exact classical value;
+    # only its quantum value is solved again.
+    scans = []
+    scan = search.classical_bound
+
+    def counted(matrix):
+        scans.append(matrix)
+        return scan(matrix)
+
+    monkeypatch.setattr(search, "classical_bound", counted)
+    record = ratio_search(3, 3, 40, seed=2)
+    assert len(scans) == 40
+    assert record.classical == classical_bound(record.matrix).bound
+
+
 def test_search_draws_starts_once_and_runs_no_eigensolver_in_the_loop(monkeypatch):
     eigensolves, draws, unit_rows, certified = [], [], [], []
     loop = {"active": False}

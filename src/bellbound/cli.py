@@ -40,7 +40,7 @@ from .operators import (
 )
 from .quantum import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL
 from .quantum import quantum_bound, save_certificate
-from .realize import bell_value, correlation_matrix, realization_to_json, realize
+from .realize import _check_entries, bell_value, correlation_matrix, realization_to_json, realize
 from .search import _check_arguments, ratio_search, record_from_json
 
 DOMAIN_ERROR = 3
@@ -221,6 +221,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_realize(args) -> int:
     matrix = _load_matrix_file(args.matrix)
+    _check_entries(matrix.rows + matrix.cols, min(matrix.rows, matrix.cols))  # before solving
     bound = quantum_bound(matrix, seed=args.seed)
     realization = realize(matrix, bound.primal)
     value = bell_value(realization, matrix)
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.set_defaults(func=_cmd_classical)
 
-    p = sub.add_parser("quantum", help="certified quantum bound")
+    p = sub.add_parser("quantum", help="quantum bound, certified if check_dual accepts it")
     p.add_argument("--matrix", required=True)
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)

@@ -39,6 +39,7 @@ DEFAULT_TOL = 1e-7
 # Restarts sweep together in groups of about this many stacked vector entries.
 _SWEEP_BLOCK = 1 << 16
 CERTIFICATE_LIMIT = 1 << 22  # entries of M, (n + m)^2
+RESTART_LIMIT = 1 << 14  # seeds spawned before any sweep: 7 MB; CHSH then takes 0.6 s
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,8 @@ def quantum_bound(
             saddle points.
 
     Never raises on non-convergence: the result carries ``converged=False``.
-    Raises SizeLimitError, before any sweep, when the certificate matrix would
-    have more than CERTIFICATE_LIMIT entries.
+    Raises SizeLimitError, before any sweep, past RESTART_LIMIT restarts or
+    when the certificate matrix would have more than CERTIFICATE_LIMIT entries.
     """
     A = matrix.entries
     n, m = matrix.rows, matrix.cols
@@ -191,6 +192,8 @@ def quantum_bound(
         raise DimensionMismatchError("gram_dim must be at least 1")
     if restarts < 1:
         raise DimensionMismatchError("restarts must be at least 1")
+    if restarts > RESTART_LIMIT:
+        raise SizeLimitError(f"{restarts} restarts exceed the limit of {RESTART_LIMIT}")
     if max_iters < 0:
         raise DomainError(f"max_iters must be non-negative, got {max_iters}")
     _check_certificate_size(matrix)

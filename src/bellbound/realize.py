@@ -31,12 +31,12 @@ from .errors import DimensionMismatchError, DomainError, SizeLimitError
 from .matrices import CoefficientMatrix, _freeze
 from .quantum import GramSolution
 
-MAX_GENERATORS = 12
-REALIZE_LIMIT = 1 << 19  # stored operator entries (n + m) * D^2
+REALIZE_LIMIT = 1 << 19  # stored operator entries: (n + m) * D^2, or r * D^2 generators
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+_IDENTITY = np.eye(2, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -54,34 +54,39 @@ class ObservableRealization:
         return self.x_observables.shape[1]
 
 
+def _check_entries(count: int, r: int, what: str = "observables") -> int:
+    """D = 2^floor(r/2), or SizeLimitError when count D x D operators would
+    store more than REALIZE_LIMIT entries.  Past the limit's bit length one
+    operator alone is over it, so the clamp keeps the count small for any r."""
+    qubits = int(r) // 2
+    entries = int(count) << 2 * min(qubits, REALIZE_LIMIT.bit_length())
+    if entries > REALIZE_LIMIT:
+        raise SizeLimitError(
+            f"{count} {what} of dimension 2^{qubits} need at least {entries} "
+            f"entries, more than the {REALIZE_LIMIT}-entry limit"
+        )
+    return 1 << qubits
+
+
 def clifford_generators(r: int) -> np.ndarray:
     """Tensor-ladder construction of r anticommuting Hermitian involutions,
     returned as a read-only (r, D, D) array with D = 2^floor(r/2).
 
     Generator 2a is Z^a (x) X (x) I..., generator 2a+1 is Z^a (x) Y (x) I...,
     on q = floor(r/2) qubit factors; for odd r the last generator is Z^q,
-    which anticommutes with all the others (Tsirelson 1980).
+    which anticommutes with all the others (Tsirelson 1980).  Refused before
+    any array is built past r = 15, where r * D^2 exceeds REALIZE_LIMIT.
     """
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
         raise SizeLimitError(f"generator count must be a positive integer, got {r}")
-    if r > MAX_GENERATORS:
-        raise SizeLimitError(
-            f"generator count {r} exceeds the cap of {MAX_GENERATORS}"
-        )
+    dim = _check_entries(r, r, "generators")
     qubits = r // 2
-    dim = 1 << qubits
     gens = np.empty((r, dim, dim), dtype=np.complex128)
     for a in range(r):
-        position = a // 2
         middle = _PAULI_X if a % 2 == 0 else _PAULI_Y
         op = np.eye(1, dtype=np.complex128)
-        for q in range(qubits):
-            if q < position:
-                factor = _PAULI_Z
-            elif q == position:
-                factor = middle
-            else:
-                factor = np.eye(2, dtype=np.complex128)
+        # Cut to q factors; for odd r this leaves the closing generator Z^q.
+        for factor in ([_PAULI_Z] * (a // 2) + [middle] + [_IDENTITY] * qubits)[:qubits]:
             op = np.kron(op, factor)
         gens[a] = op
     gens.setflags(write=False)
@@ -96,25 +101,15 @@ def maximally_entangled_state(dim: int) -> np.ndarray:
 def realize(matrix: CoefficientMatrix, gram: GramSolution) -> ObservableRealization:
     """Observables whose correlations equal the Gram inner products.
 
-    Raises SizeLimitError, before any array is built, when the observables
-    would store more than REALIZE_LIMIT entries, (n + m) * D^2.
+    Raises SizeLimitError, before any array is built, when the (n + m) * D^2
+    observable entries exceed REALIZE_LIMIT, which alone bounds the rank r.
     """
     r = gram.dimension
-    if r > MAX_GENERATORS:
-        raise SizeLimitError(
-            f"gram dimension {r} exceeds the realizable cap of {MAX_GENERATORS}"
-        )
     if gram.x.shape[0] != matrix.rows or gram.y.shape[0] != matrix.cols:
         raise DimensionMismatchError(
             "gram solution does not match the coefficient matrix dimensions"
         )
-    dim = 1 << (r // 2)
-    entries = (matrix.rows + matrix.cols) * dim * dim
-    if entries > REALIZE_LIMIT:
-        raise SizeLimitError(
-            f"{matrix.rows}+{matrix.cols} observables of dimension {dim} need "
-            f"{entries} entries, more than the {REALIZE_LIMIT}-entry limit"
-        )
+    _check_entries(matrix.rows + matrix.cols, r)
     for name, vecs in (("x", gram.x), ("y", gram.y)):
         norms = np.linalg.norm(vecs, axis=1)
         if np.abs(norms - 1.0).max() > 1e-8:

@@ -23,6 +23,7 @@ from bellbound import (
 )
 from bellbound import cli, quantum
 from bellbound.cli import run
+from tests.test_quantum import Unspawnable
 from tests.test_search import FORGED_LEDGER_LINES, ODD_LEDGER_LINES, ledger_line
 
 REPORT_KEYS = {"command", "version", "inputs", "results"}
@@ -256,6 +257,59 @@ def test_realize_size_guard_exit_code(tmp_path, capsys):
     assert captured.out == ""
     assert "limit" in captured.err
     assert not out.exists()
+
+
+def gaussian_file(tmp_path, n, m, seed):
+    path = str(tmp_path / f"gauss{n}x{m}.json")
+    entries = np.random.default_rng(seed).standard_normal((n, m))
+    with open(path, "wb") as handle:
+        save_matrix(CoefficientMatrix(entries), handle)
+    return path
+
+
+@pytest.mark.parametrize("n, dim", [(13, 64), (15, 128)])
+def test_realize_past_twelve_generators(tmp_path, capsys, n, dim):
+    # A cap of 12 generators refused these although the entry budget admits
+    # them: (13 + 13) * 64^2 and (15 + 15) * 128^2 entries are within 2^19.
+    out = tmp_path / "real.json"
+    code, report = invoke(capsys, [
+        "realize", "--matrix", gaussian_file(tmp_path, n, n, n), "--seed", "601",
+        "--out", str(out),
+    ])
+    assert code == 0
+    results = report["results"]
+    assert results["hilbert_dimension"] == dim
+    assert results["max_correlation_error"] <= 1e-12
+    assert results["value_error"] <= 1e-9
+    with open(out, encoding="utf-8") as handle:
+        assert json.load(handle)["hilbert_dimension"] == dim
+
+
+@pytest.mark.parametrize("n, m", [(1000, 12), (256, 256)])
+def test_realize_refuses_before_solving(tmp_path, capsys, monkeypatch, n, m):
+    # Both used to pay for a full quantum_bound solve before the refusal.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the size guard")
+
+    path = gaussian_file(tmp_path, n, m, 0)
+    monkeypatch.setattr(cli, "quantum_bound", unreachable)
+    out = tmp_path / "real.json"
+    code = run(["realize", "--matrix", path, "--seed", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "entries, more than the 524288-entry limit" in captured.err
+    assert not out.exists()
+
+
+def test_quantum_refuses_huge_restarts_before_spawning(chsh_file, capsys, monkeypatch):
+    # restarts=10**8 would spawn every child seed first: about 38 GB.
+    monkeypatch.setattr(quantum.np.random, "SeedSequence", Unspawnable)
+    code = run(["quantum", "--matrix", chsh_file, "--restarts", "100000000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "100000000 restarts exceed the limit" in captured.err
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,109 @@
+"""The chain L <= objective <= Q <= upper at default settings, against
+values known without the solver: the exact classical bound, 2^(3d/2) for
+tensor powers, and the exact Q of two-column matrices.
+
+``upper >= Q`` fails today: the reported upper bound can fall below the
+exact value (ROADMAP item 2).  Those checks are strict xfails, so the fix
+turns them into plain tests.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from bellbound import CoefficientMatrix, chsh_matrix, classical_bound, quantum_bound, tensor_power
+from tests.two_column_oracle import exact_two_column_value
+
+SQRT2 = math.sqrt(2.0)
+UPPER_FALLS_SHORT = (
+    "the certificate does not test lambda_min(M), so the reported upper "
+    "bound can fall below the exact value (ROADMAP item 2)"
+)
+
+
+def corpus():
+    """300 small matrices with entries in {-1, 0, 1}, each with its seed."""
+    rng = np.random.default_rng(7)
+    for k in range(300):
+        n, m = rng.integers(2, 7, size=2)
+        yield k, CoefficientMatrix(rng.integers(-1, 2, (n, m)))
+
+
+def two_column_draws():
+    """50 Gaussian n x 2 matrices, n in 2..39, each with its seed."""
+    rng = np.random.default_rng(25)
+    for k in range(50):
+        n = int(rng.integers(2, 40))
+        yield k, CoefficientMatrix(rng.standard_normal((n, 2)))
+
+
+@pytest.mark.xfail(strict=True, reason=UPPER_FALLS_SHORT)
+@pytest.mark.parametrize("d", range(2, 8))
+def test_tensor_power_upper_bound_reaches_the_exact_value(d):
+    # Q = 2^(3d/2) exactly, since H H^T = 2^d I.  At seed 601 every order
+    # falls short, by 5.2e-9 at d = 2 down to 7.4e-10 at d = 7.
+    upper = quantum_bound(tensor_power(d), seed=601).dual.upper_bound
+    assert upper >= 2.0 ** (1.5 * d)
+
+
+@pytest.mark.xfail(strict=True, reason=UPPER_FALLS_SHORT)
+def test_corpus_upper_bound_reaches_the_classical_bound():
+    # 70 of the 300 fall short of L, 66 of them with converged=True.
+    short = [
+        k for k, matrix in corpus()
+        if quantum_bound(matrix, seed=k).dual.upper_bound < classical_bound(matrix).bound
+    ]
+    assert short == []
+
+
+def test_two_column_oracle_known_values():
+    assert exact_two_column_value(chsh_matrix().entries) == pytest.approx(2.0 * SQRT2, rel=1e-15)
+    # One column of zeros: m = 1 in effect, where Q = L = sum_i |a_i|.
+    column = np.array([[3.0, 0.0], [-1.5, 0.0], [0.25, 0.0]])
+    assert exact_two_column_value(column) == 4.75
+    # Parallel columns: c = 1 attains Q = L.
+    assert exact_two_column_value([[1.0, 2.0], [-2.0, -4.0]]) == 9.0
+
+
+def test_two_column_oracle_against_a_grid():
+    rng = np.random.default_rng(19)
+    grid = np.linspace(-1.0, 1.0, 20001)
+    for _ in range(5):
+        A = rng.standard_normal((int(rng.integers(2, 9)), 2))
+        values = np.sqrt(np.maximum(
+            (A[:, :1] ** 2 + A[:, 1:] ** 2) + 2.0 * (A[:, :1] * A[:, 1:]) * grid, 0.0
+        )).sum(axis=0)
+        q = exact_two_column_value(A)
+        assert values.max() <= q * (1.0 + 1e-15)
+        assert q - values.max() <= 1e-6 * q
+        assert exact_two_column_value(A.T) == q
+
+
+def test_two_column_objective_is_the_exact_value():
+    # The largest gap measured on 200 such draws was 3.5e-6 relative.
+    for k, matrix in two_column_draws():
+        exact = exact_two_column_value(matrix.entries)
+        objective = quantum_bound(matrix, seed=k).primal.objective
+        assert objective <= exact * (1.0 + 1e-12)
+        assert exact - objective <= 1e-5 * exact
+
+
+def test_two_column_values_obey_krivines_cap():
+    # K(n, 2) = sqrt(2) (Krivine 1979): L <= Q <= sqrt(2) L for every n x 2.
+    for k, matrix in two_column_draws():
+        classical = classical_bound(matrix).bound
+        exact = exact_two_column_value(matrix.entries)
+        assert classical <= exact * (1.0 + 1e-12)
+        assert exact <= SQRT2 * classical * (1.0 + 1e-12)
+        assert quantum_bound(matrix, seed=k).primal.objective <= SQRT2 * classical
+
+
+@pytest.mark.xfail(strict=True, reason=UPPER_FALLS_SHORT)
+def test_two_column_upper_bound_reaches_the_exact_value():
+    # Every one of 200 such draws falls short, 124 of them with converged=True.
+    short = [
+        k for k, matrix in two_column_draws()
+        if quantum_bound(matrix, seed=k).dual.upper_bound < exact_two_column_value(matrix.entries)
+    ]
+    assert short == []

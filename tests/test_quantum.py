@@ -246,6 +246,32 @@ def test_size_guard_refuses_before_sweeping(monkeypatch):
         quantum_bound(CoefficientMatrix(np.zeros((2047, 1))))
 
 
+def test_restart_guard_accepts_the_limit_and_refuses_one_past(monkeypatch):
+    # Every child seed is spawned before the first sweep, so an unguarded
+    # restarts=10**8 asked for tens of GB.
+    assert quantum.RESTART_LIMIT == 1 << 14
+    monkeypatch.setattr(quantum, "RESTART_LIMIT", 3)
+    assert quantum_bound(chsh_matrix(), restarts=3, seed=0).converged
+    with pytest.raises(SizeLimitError, match="4 restarts exceed the limit of 3"):
+        quantum_bound(chsh_matrix(), restarts=4, seed=0)
+
+
+class Unspawnable:
+    """Stands in for SeedSequence where no seed may be spawned."""
+
+    def __init__(self, seed):
+        pass
+
+    def spawn(self, count):
+        raise AssertionError("seeds spawned before the restart guard")
+
+
+def test_restart_guard_refuses_before_spawning(monkeypatch):
+    monkeypatch.setattr(quantum.np.random, "SeedSequence", Unspawnable)
+    with pytest.raises(SizeLimitError, match="restarts"):
+        quantum_bound(chsh_matrix(), restarts=quantum.RESTART_LIMIT + 1)
+
+
 def test_check_dual_exact_chsh_certificate():
     # Independent oracle: eigenvalues of the block matrix computed directly.
     cert = DualCertificate(

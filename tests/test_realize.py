@@ -82,7 +82,7 @@ def ceil_ladder(r):
     return np.array(gens).reshape(r, 1 << qubits, 1 << qubits)
 
 
-@pytest.mark.parametrize("r", range(1, 13))
+@pytest.mark.parametrize("r", range(1, 16))
 def test_ladder_on_floor_half_qubits(r):
     gens = clifford_generators(r)
     dim = 2 ** (r // 2)
@@ -106,10 +106,26 @@ def test_ladder_on_floor_half_qubits(r):
 
 
 def test_generator_count_guards():
+    # The entry budget alone bounds the ladder: 15 * 2^14 entries fit in
+    # 2^19, 16 * 2^16 do not.  A cap of 12 generators used to refuse r = 13.
     with pytest.raises(SizeLimitError):
         clifford_generators(0)
-    with pytest.raises(SizeLimitError):
-        clifford_generators(13)
+    assert clifford_generators(15).shape == (15, 128, 128)
+    with pytest.raises(SizeLimitError, match="16 generators of dimension 2\\^8"):
+        clifford_generators(16)
+
+
+@pytest.mark.parametrize("r", [16, 17, 10**9])
+def test_generator_guard_refuses_before_building(monkeypatch, r):
+    realize_module = importlib.import_module("bellbound.realize")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("arrays built before the size guard")
+
+    monkeypatch.setattr(realize_module.np, "empty", unreachable)
+    monkeypatch.setattr(realize_module.np, "kron", unreachable)
+    with pytest.raises(SizeLimitError, match="limit"):
+        clifford_generators(r)
 
 
 def test_state_is_unit_vector_with_maximally_mixed_marginal():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_SCAN_BLOCK = 1 << 16
+_SCAN_BLOCK = 1 << 17
 
 
 # --------------------------------------------------------------------------
@@ -13,25 +13,30 @@ _SCAN_BLOCK = 1 << 16
 # Candidate i encodes the Gray code i ^ (i >> 1); bit j set means s[j+1] = -1.
 # Returns (best value, index of the first candidate attaining it).
 #
-# Meet in the middle: the n-1 free signs split into k low and n-1-k high
-# bits.  Each half's column sums come from a doubling table in reflected Gray
-# order, P <- [P + a_j; P[::-1] - a_j], so row r holds Gray pattern
-# r ^ (r >> 1) and no sign matrix is formed.  Block j adds high row j to every
-# low row in one elementwise pass (no BLAS).  Its rows need no inverse Gray
-# map: row r has index (j << k) | r, counted from the end when j is odd,
-# since the high pattern's parity flips every low index bit.  Blocks run in
-# index order and the comparison is strict, so the first maximizer wins (an
-# all-zero matrix gives 0).  k is at least half the free signs, bounding both
-# tables, and large enough for a block of about _SCAN_BLOCK sums, keeping the
-# Python loop short; small scans are a single block.
+# Meet in the middle: the n-1 free signs split into k low and n-1-k high bits.
+# Each half's column sums fill a table in reflected Gray order, doubled in
+# place along axis 0 (t[w:2w] = t[w-1::-1] - a; t[:w] += a): entry r holds
+# Gray pattern r ^ (r >> 1).  A (2^bits, m) table doubles whole rows.  A split
+# scan's (m, 2^k) low table doubles row by row, since numpy copies the input
+# of an out= call on overlapping 2-D slices.  Block j pairs high row h with
+# every low column through
+#  sum_l |lo_l + h_l| = 2 (sum_l max(lo_l, -h_l) - sum_l lo_l / 2) + sum_l h_l:
+# two 1-D passes per low row against the scalar -h_l into a reused vector, no
+# (m, 1) broadcast for numpy's slow buffered iterator.  Column r has index
+# (j << k) | r, counted from the end when j is odd, since the high pattern's
+# parity flips every low index bit.  Blocks run in index order and compare
+# strictly once sum_l h_l is added, so the first maximizer wins (an all-zero
+# matrix gives 0).  k >= (n-1)/2 bounds both tables; k also reaches a block
+# of about _SCAN_BLOCK sums.  With k = n-1 the scan is one (2^k, m) table.
 # --------------------------------------------------------------------------
 
 
-def _reflected_sums(rows: np.ndarray, base: np.ndarray) -> np.ndarray:
-    P = base[None, :]
-    for a in rows:
-        P = np.concatenate((P + a, P[::-1] - a))
-    return P
+def _gray_fill(table: np.ndarray, base, steps) -> np.ndarray:
+    table[0] = base
+    for i, a in enumerate(steps):
+        np.subtract(table[(1 << i) - 1 :: -1], a, out=table[1 << i : 2 << i])
+        table[: 1 << i] += a
+    return table
 
 
 def gray_scan(A: np.ndarray) -> tuple[float, int]:
@@ -39,25 +44,30 @@ def gray_scan(A: np.ndarray) -> tuple[float, int]:
     n, m = A.shape
     free = n - 1
     k = max((free + 1) // 2, min(free, (_SCAN_BLOCK // m).bit_length() - 1))
-    lo = _reflected_sums(A[1 : k + 1], A[0])
     if k == free:
-        vals = np.abs(lo).sum(axis=1)
+        vals = np.abs(_gray_fill(np.empty((1 << free, m)), A[0], A[1:])).sum(axis=1)
         i = int(vals.argmax())
         return float(vals[i]), i
-    lo = np.ascontiguousarray(lo.T)
-    buf = np.empty_like(lo)
-    vals = np.empty(lo.shape[1])
-    best_val = -1.0
-    best_idx = 0
-    for j, high in enumerate(_reflected_sums(A[k + 1 :], np.zeros(m))):
-        np.add(lo, high[:, None], out=buf)
-        np.abs(buf, out=buf)
-        buf.sum(axis=0, out=vals)
+    lo = np.empty((m, 1 << k))
+    for row, base, steps in zip(lo, A[0].tolist(), A[1 : k + 1].T.tolist()):
+        _gray_fill(row, base, steps)
+    half_sum = 0.5 * lo.sum(axis=0)
+    first, rest = lo[0], list(lo[1:])
+    vals, tmp = np.empty((2, 1 << k))
+    high = _gray_fill(np.empty((1 << (free - k), m)), 0.0, A[k + 1 :])
+    best_val, best_idx = -1.0, 0
+    for j, h_sum in enumerate(high.sum(axis=1).tolist()):
+        h = high[j].tolist()
+        np.maximum(first, -h[0], out=vals)
+        for row, c in zip(rest, h[1:]):
+            np.maximum(row, -c, out=tmp)
+            vals += tmp
+        vals -= half_sum
         run = vals[::-1] if j & 1 else vals
         r = int(run.argmax())
-        if run[r] > best_val:
-            best_val = float(run[r])
-            best_idx = (j << k) | r
+        value = 2.0 * float(run[r]) + h_sum
+        if value > best_val:
+            best_val, best_idx = value, (j << k) | r
     return best_val, best_idx
 
 

@@ -4,8 +4,8 @@ The classical maximum of s^T A t over sign vectors reduces to enumerating s
 and solving t in closed form: t_l = sign(sum_k A[k,l] s_k).  The first sign
 is fixed to +1 by global sign symmetry, and the scan runs over whichever side
 of the matrix is smaller.  It splits the free signs into a low and a high
-half, builds each half's column sums by doubling, and adds every high row to
-the whole low table, so no sign matrix is formed (see ``_kernels``).  The
+half, builds each half's column sums by doubling, and pairs each high pattern
+with the low table row by row, so no sign matrix is formed (``_kernels``).  The
 witness is the first maximizer in Gray order.  A scan is refused when its
 work, 2^(r-1) candidates times c column sums on the r x c scanned side,
 exceeds that of a 28 x 28 scan.

@@ -610,6 +610,14 @@ def test_one_blas_thread_by_default():
     assert _python(["-c", probe], "2").split()[1] == "2"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_test_process_runs_one_blas_thread():
+    # The test modules load numpy before bellbound, so tests/conftest.py
+    # pins the thread count; unpinned, this matmul leaves a worker per core.
+    np.ones((64, 64)) @ np.ones((64, 64))
+    assert len(os.listdir("/proc/self/task")) == 1
+
+
 def test_quantum_report_independent_of_blas_threads(tmp_path):
     # On 2 CPUs the 128x128 min_eigenvalue used to differ in its last digits
     # between the default thread count and OPENBLAS_NUM_THREADS=1.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,40 @@ def dense_gray_scan(A):
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val, best_idx = float(vals[i]), int(ks[i])
+    return best_val, best_idx
+
+
+def split_table_scan(A):
+    # The earlier blocked scan at its block of 2^16 sums, kept as an oracle:
+    # both halves' doubling tables by concatenation, then per high row a
+    # broadcast add onto the whole (m, 2^k) low table, abs and a sum over
+    # axis 0.
+    def reflected_sums(rows, base):
+        P = base[None, :]
+        for a in rows:
+            P = np.concatenate((P + a, P[::-1] - a))
+        return P
+
+    n, m = A.shape
+    free = n - 1
+    k = max((free + 1) // 2, min(free, ((1 << 16) // m).bit_length() - 1))
+    lo = reflected_sums(A[1 : k + 1], A[0])
+    if k == free:
+        vals = np.abs(lo).sum(axis=1)
+        i = int(vals.argmax())
+        return float(vals[i]), i
+    lo = np.ascontiguousarray(lo.T)
+    buf = np.empty_like(lo)
+    vals = np.empty(lo.shape[1])
+    best_val, best_idx = -1.0, 0
+    for j, high in enumerate(reflected_sums(A[k + 1 :], np.zeros(m))):
+        np.add(lo, high[:, None], out=buf)
+        np.abs(buf, out=buf)
+        buf.sum(axis=0, out=vals)
+        run = vals[::-1] if j & 1 else vals
+        r = int(run.argmax())
+        if run[r] > best_val:
+            best_val, best_idx = float(run[r]), (j << k) | r
     return best_val, best_idx
 
 
@@ -119,6 +155,52 @@ def test_gray_scan_matches_dense_scan(n):
 def test_gray_scan_matches_dense_scan_on_tensor_power():
     A = tensor_power(4).entries
     assert _kernels.gray_scan(A) == dense_gray_scan(A)
+
+
+def scan_input(kind, n, rng):
+    m = int(rng.integers(n, n + 11))
+    if kind == "gaussian":
+        return rng.standard_normal((n, m))
+    if kind == "pm1":
+        return rng.choice([-1.0, 1.0], (n, m))
+    # Two zero rows and a duplicated row force ties between candidates.
+    A = rng.integers(-2, 3, (n, m)).astype(np.float64)
+    A[rng.choice(np.arange(1, n), 2, replace=False)] = 0.0
+    A[n - 2] = A[1 + int(rng.integers(n - 3))]
+    return A
+
+
+@pytest.mark.parametrize("block", ["default", 1, 1 << 12])
+@pytest.mark.parametrize("kind", ["gaussian", "ties", "pm1"])
+@pytest.mark.parametrize("n", [14, 16, 18, 20, 22])
+def test_gray_scan_matches_split_table_scan(n, kind, block, monkeypatch):
+    # The per-row kernel finds the same first maximizer as the broadcast
+    # kernel it replaced, on one block or split at either block size.
+    if block != "default":
+        monkeypatch.setattr(_kernels, "_SCAN_BLOCK", block)
+    A = scan_input(kind, n, np.random.default_rng([n, len(kind)]))
+    val, idx = _kernels.gray_scan(A)
+    ref_val, ref_idx = split_table_scan(A)
+    assert idx == ref_idx
+    assert val == pytest.approx(ref_val, rel=1e-12)
+
+
+def traced_peak(scan, A):
+    scan(A)
+    tracemalloc.start()
+    try:
+        scan(A)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (20, 20), (22, 22), (21, 32)], ids=str)
+def test_gray_scan_peak_memory_within_split_table_scan(shape):
+    # One in-place low table and two vectors replace the concatenated
+    # tables, the transposed copy and the (m, 2^k) buffer.
+    A = np.random.default_rng(sum(shape)).standard_normal(shape)
+    assert traced_peak(_kernels.gray_scan, A) <= 1.01 * traced_peak(split_table_scan, A)
 
 
 def test_alternating_sweeps_zero_matrix_converges():

@@ -247,7 +247,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    _check_arguments(args.n, args.m, args.iters)  # a refused search makes no ledger
+    _check_arguments(args.n, args.m, args.iters, args.seed)  # a refused search makes no ledger
     sink = open(args.ledger, "a", encoding="utf-8") if args.ledger else None
     try:
         best = ratio_search(

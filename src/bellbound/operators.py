@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,8 +148,8 @@ def norm_estimate(expr: OperatorExpression) -> float:
 def _check_order(d: int) -> int:
     if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
         raise DomainError("the order d must be an integer")
-    if d < 1:
-        raise DomainError(f"the order d must be positive, got {d}")
+    if d < 2:
+        raise DomainError(f"the counting model requires d >= 2, got {d}")
     return int(d)  # numpy integers wrap around in shifts
 
 
@@ -165,23 +164,11 @@ def closed_form_bound(d: int, commuting_sites: bool = False) -> float:
         general:    sqrt(4 * C(2^d,2) * (2^d + 2^(d-1)) + 2^(2d))
                     =  2^d * sqrt(3 * 2^d - 2)
 
-    The commuting case is undefined at d = 1, where no anticommutator
-    appears in the squared operator.  Orders whose bound exceeds a double's
-    range (d > 340, or d > 341 for commuting sites) raise DomainError.
+    Orders below 2, where no anticommutator appears in the squared operator,
+    and orders whose bound exceeds a double's range (d > 340, or d > 341 for
+    commuting sites) raise DomainError.
     """
     d = _check_order(d)
-    if commuting_sites and d < 2:
-        raise DomainError(
-            "the commuting-sites bound requires d >= 2: with two "
-            "observables per site the squared operator has no "
-            "anticommutator contribution"
-        )
-    if d == 1:
-        warnings.warn(
-            "the d=1 counting bound assumes anticommutator terms that the "
-            "two-observable expansion does not contain",
-            stacklevel=2,
-        )
     bound = math.inf
     if d <= sys.float_info.max_exp // 3:  # else the radicand, ~2^(3d), overflows
         pairs = (1 << d) * ((1 << d) - 1) // 2
@@ -196,9 +183,7 @@ def normalized_violation_estimate(d: int) -> float:
     """Counting-model violation estimate 2^(-d/2) sqrt(3 * 2^d - 2).
 
     Strictly increasing in d with limit sqrt(3); equals sqrt(5/2) at d = 2.
-    Defined for d >= 2 only.
+    Orders below 2 raise DomainError, as for ``closed_form_bound``.
     """
-    _check_order(d)
-    if d < 2:
-        raise DomainError(f"the normalized estimate requires d >= 2, got {d}")
+    d = _check_order(d)
     return math.sqrt(3.0 - 2.0 ** (1 - d))

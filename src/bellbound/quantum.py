@@ -175,15 +175,16 @@ def quantum_bound(
             on its own test, so every restart ends as it would alone.
         max_iters: sweep budget per restart; must be non-negative.
         tol: relative objective-change threshold for convergence; also the
-            slack allowed on the primal-dual gap.
-        seed: root seed; together with ``restarts`` it fixes every output.
+            slack allowed on the primal-dual gap; must be in [0, inf).
+        seed: non-negative root seed; with ``restarts`` it fixes every output.
         gram_dim: dimension of the Gram vectors.  Defaults to min(n, m), which
             is always sufficient; n + m gives a friendlier landscape for rare
             saddle points.
 
     Never raises on non-convergence: the result carries ``converged=False``.
-    Raises SizeLimitError, before any sweep, past RESTART_LIMIT restarts or
-    when the certificate matrix would have more than CERTIFICATE_LIMIT entries.
+    Raises, before any seed is spawned, SizeLimitError past RESTART_LIMIT
+    restarts or CERTIFICATE_LIMIT certificate entries, and DomainError for a
+    negative max_iters or seed or a tol outside [0, inf).
     """
     A = matrix.entries
     n, m = matrix.rows, matrix.cols
@@ -196,6 +197,10 @@ def quantum_bound(
         raise SizeLimitError(f"{restarts} restarts exceed the limit of {RESTART_LIMIT}")
     if max_iters < 0:
         raise DomainError(f"max_iters must be non-negative, got {max_iters}")
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"tol must be finite and non-negative, got {tol}")
+    if seed < 0:
+        raise DomainError(f"the seed must be non-negative, got {seed}")
     _check_certificate_size(matrix)
 
     groups = _seeded_starts(n, m, r, restarts, seed)

@@ -97,7 +97,7 @@ def _evaluate(entries: np.ndarray, starts: list) -> tuple[float, float, float]:
     return quantum / classical, classical, quantum
 
 
-def _check_arguments(n: int, m: int, iterations: int) -> None:
+def _check_arguments(n: int, m: int, iterations: int, seed: int) -> None:
     """Raise as ratio_search would on these arguments, before it does any work."""
     if n < 1 or m < 1 or n > MAX_SEARCH_SIZE or m > MAX_SEARCH_SIZE:
         raise SizeLimitError(
@@ -105,6 +105,8 @@ def _check_arguments(n: int, m: int, iterations: int) -> None:
         )
     if iterations < 1:
         raise DomainError("iteration budget must be at least 1")
+    if seed < 0:
+        raise DomainError(f"the seed must be non-negative, got {seed}")
 
 
 def ratio_search(
@@ -121,8 +123,11 @@ def ratio_search(
     best.  Deterministic given (n, m, iterations, seed): running longer only
     extends the stream.  Each new best is appended to ``record_sink`` as one
     JSON line, as is the final re-verified record.
+
+    Refuses, before any work, sizes outside 1..MAX_SEARCH_SIZE
+    (SizeLimitError) and a budget below 1 or a negative seed (DomainError).
     """
-    _check_arguments(n, m, iterations)
+    _check_arguments(n, m, iterations, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     starts = list(_seeded_starts(n, m, min(n, m), LOOP_RESTARTS, seed))
     best: Optional[SearchRecord] = None

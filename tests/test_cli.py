@@ -394,8 +394,9 @@ def test_search_and_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--n", "13", "--m", "2", "--iters", "5"],
-                                  ["--n", "2", "--m", "2", "--iters", "0"]],
-                         ids=["size", "budget"])
+                                  ["--n", "2", "--m", "2", "--iters", "0"],
+                                  ["--n", "2", "--m", "2", "--iters", "5", "--seed", "-1"]],
+                         ids=["size", "budget", "seed"])
 def test_refused_search_leaves_the_ledger_alone(tmp_path, capsys, argv):
     # A refused search used to create an empty ledger file.
     ledger = tmp_path / "ledger.jsonl"
@@ -505,6 +506,29 @@ def test_negative_sweep_budget_exit_code(chsh_file, capsys):
     assert "max_iters" in captured.err
     code, _ = invoke(capsys, ["quantum", "--matrix", chsh_file, "--max-iters", "0"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantum", "--seed", "-1"],
+    ["realize", "--seed", "-1", "--out", "F"],
+    ["quantum", "--tol", "nan", "--cert-out", "F"],
+    ["quantum", "--tol", "inf", "--cert-out", "F"],
+    ["quantum", "--tol", "-1", "--cert-out", "F"],
+    ["estimate", "--d", "1"],
+], ids=["quantum-seed", "realize-seed", "tol-nan", "tol-inf", "tol-negative", "estimate-d1"])
+def test_out_of_domain_arguments_exit_3(chsh_file, tmp_path, capsys, argv):
+    # Seeds used to exit 1 with numpy's traceback, tol printed NaN or
+    # Infinity or ran the whole budget, and estimate --d 1 warned and printed 4.
+    out = tmp_path / "F"
+    argv = [str(out) if arg == "F" else arg for arg in argv]
+    if argv[0] != "estimate":
+        argv += ["--matrix", chsh_file]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_huge_sweep_budget_exit_code(chsh_file, capsys):

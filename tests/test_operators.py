@@ -218,8 +218,8 @@ def test_counting_bound_guards():
         closed_form_bound(0)
     with pytest.raises(DomainError):
         closed_form_bound(-2)
-    with pytest.warns(UserWarning):
-        assert closed_form_bound(1, commuting_sites=False) == 4.0
+    with pytest.raises(DomainError):
+        closed_form_bound(1, commuting_sites=False)
 
 
 @pytest.mark.parametrize("commuting, last", [(False, 340), (True, 341)])

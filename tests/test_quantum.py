@@ -20,6 +20,7 @@ from bellbound import (
 from bellbound import _kernels, quantum
 from bellbound.errors import (
     DimensionMismatchError,
+    DomainError,
     MatrixFormatError,
     SizeLimitError,
 )
@@ -272,6 +273,18 @@ def test_restart_guard_refuses_before_spawning(monkeypatch):
         quantum_bound(chsh_matrix(), restarts=quantum.RESTART_LIMIT + 1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("seed", -1), ("tol", math.nan), ("tol", math.inf), ("tol", -1e-7),
+])
+def test_out_of_domain_arguments_refused_before_spawning(monkeypatch, name, value):
+    # A negative seed escaped from SeedSequence as a ValueError; a NaN or
+    # negative tol ran the whole sweep budget, and an infinite one stopped
+    # at once with converged=True.
+    monkeypatch.setattr(quantum.np.random, "SeedSequence", Unspawnable)
+    with pytest.raises(DomainError, match=name):
+        quantum_bound(chsh_matrix(), **{name: value})
+
+
 def test_check_dual_exact_chsh_certificate():
     # Independent oracle: eigenvalues of the block matrix computed directly.
     cert = DualCertificate(
@@ -412,7 +425,7 @@ def test_min_eigenvalue_is_that_of_the_whole_certificate_matrix(matrix):
     assert result.min_eigenvalue == np.linalg.eigvalsh(M)[0]
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "converged tests the stopping rule and the primal-dual gap, never the "
     "certificate's min_eigenvalue (ROADMAP item 2)"
 ))

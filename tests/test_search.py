@@ -133,6 +133,8 @@ def test_search_guards():
         ratio_search(2, 0, 10, seed=0)
     with pytest.raises(DomainError):
         ratio_search(2, 2, 0, seed=0)
+    with pytest.raises(DomainError, match="seed"):
+        ratio_search(2, 2, 10, seed=-1)
 
 
 def search_ledger(n, m, iterations, seed):
